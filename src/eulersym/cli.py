@@ -15,7 +15,13 @@ import sys
 from fractions import Fraction
 
 from eulersym.exact import format_fraction, parse_fraction
-from eulersym.identities import IdentitySpec, IdentityReport, enumerate_specs, verify
+from eulersym.identities import (
+    IDENTITIES,
+    IdentityReport,
+    IdentitySpec,
+    enumerate_specs,
+    verify,
+)
 from eulersym.polyfam import bernoulli_poly, euler_poly
 from eulersym.sequences import b_tilde, bernoulli_number, euler_number
 
@@ -160,10 +166,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        spec.validate()
+        report = verify(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = verify(spec)
     _write_output(_format_reports([report], args.format, single=True), args.out)
     return EXIT_OK if report.holds else EXIT_FAILED
 
@@ -205,21 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.set_defaults(func=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="verify one identity instance")
-    p_verify.add_argument(
-        "--identity",
-        required=True,
-        choices=[
-            "thm11_part1",
-            "thm11_part2",
-            "thm12",
-            "cor11",
-            "lemma21",
-            "lemma22_eq1",
-            "lemma22_eq2",
-            "remark11",
-            "chu_vandermonde",
-        ],
-    )
+    p_verify.add_argument("--identity", required=True, choices=list(IDENTITIES))
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--m", type=int, default=None)
     p_verify.add_argument("--i", type=int, default=None, help="index for lemma22_eq2")

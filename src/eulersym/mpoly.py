@@ -168,12 +168,6 @@ class MultiPoly:
     def variables(self) -> set[str]:
         return {var for mono in self.terms for var, _ in mono}
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def degree_in(self, v: str) -> int:
         deg = 0
         for mono in self.terms:

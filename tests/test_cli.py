@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import pytest
 
 import eulersym.identities as identities
 from eulersym import cli
+from eulersym.identities import IDENTITIES
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +136,38 @@ def test_verify_usage_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "thm12", "--m", "2", "--n", "0")
     assert code == 2
     assert "n must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # m or i given to an identity that does not take it
+        ["--identity", "thm11_part1", "--n", "2", "--m", "3"],
+        ["--identity", "chu_vandermonde", "--n", "2", "--i", "2"],
+        ["--identity", "thm12", "--m", "2", "--n", "2", "--i", "2"],
+        # params outside numeric mode
+        ["--identity", "thm12", "--m", "2", "--n", "2", "--param", "x_1=1/2"],
+        # a param name that occurs in neither side
+        ["--identity", "thm12", "--m", "2", "--n", "2", "--mode", "numeric",
+         "--seed", "7", "--param", "z=1"],
+        # numeric mode with neither a seed nor values for every variable
+        ["--identity", "thm12", "--m", "2", "--n", "2", "--mode", "numeric"],
+    ],
+)
+def test_verify_rejects_ignored_input_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_identity_choices_are_the_registry():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    verify_parser = subparsers.choices["verify"]
+    identity = next(a for a in verify_parser._actions if a.dest == "identity")
+    assert identity.choices == list(IDENTITIES)
 
 
 def test_verify_unknown_flag_exits_2():

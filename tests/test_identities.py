@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import eulersym.identities as identities
 import eulersym.mpoly
 from eulersym.exact import binom_int, random_rational
 from eulersym.identities import (
+    IDENTITIES,
     IdentitySpec,
     chu_vandermonde_sides,
     cor11_sides,
@@ -14,7 +16,6 @@ from eulersym.identities import (
     lemma21_residual,
     lemma22_sides,
     random_one_var_poly,
-    remark11_equivalence,
     remark11_sides,
     thm11_part1_sides,
     thm11_part2_sides,
@@ -158,7 +159,7 @@ def test_remark11_equivalence(n):
     (l12, r12), (l11, r11) = remark11_sides(n)
     assert l12 == l11
     assert r12 == r11
-    report = remark11_equivalence(n)
+    report = verify(IdentitySpec("remark11", n=n))
     assert report.holds
     assert report.residual_terms == 0
 
@@ -281,6 +282,12 @@ def test_chu_vandermonde_sides(n):
     assert_sides_equal(*chu_vandermonde_sides(n))
 
 
+def test_verify_chu_vandermonde_n0():
+    report = verify(IdentitySpec("chu_vandermonde", n=0))
+    assert report.holds
+    assert report.lhs_terms == report.rhs_terms == 1
+
+
 # -- verification driver ---------------------------------------------------
 
 
@@ -297,6 +304,7 @@ def test_verify_numeric_matches_symbolic():
         {"identity": "thm12", "n": 3, "m": 2},
         {"identity": "cor11", "n": 4, "m": 2},
         {"identity": "thm11_part2", "n": 3},
+        {"identity": "remark11", "n": 3},
     ]:
         symbolic = verify(IdentitySpec(mode="symbolic", **spec_args))
         numeric = verify(IdentitySpec(mode="numeric", seed=7, **spec_args))
@@ -340,18 +348,52 @@ def test_verify_lemma21_seeded():
     assert report.holds
 
 
-def test_negative_control_sign_flip(monkeypatch):
-    real = identities.thm12_sides
+# Each implanted sign bug: the builder it replaces, and how it corrupts the sides.
+SIGN_FLIPS = {
+    "thm12": ("thm12_sides", lambda sides: (sides[0], -sides[1])),
+    "remark11": ("remark11_sides", lambda sides: ((sides[0][0], -sides[0][1]), sides[1])),
+}
 
-    def flipped(m, n):
-        lhs, rhs = real(m, n)
-        return lhs, -rhs  # implanted sign bug
 
-    monkeypatch.setattr(identities, "thm12_sides", flipped)
-    report = verify(IdentitySpec("thm12", n=3, m=3))
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+@pytest.mark.parametrize("identity", list(SIGN_FLIPS))
+def test_negative_control_sign_flip(monkeypatch, identity, mode):
+    builder, flip = SIGN_FLIPS[identity]
+    real = getattr(identities, builder)
+    monkeypatch.setattr(identities, builder, lambda *args: flip(real(*args)))
+    spec = IdentitySpec(
+        identity,
+        n=3,
+        m=3 if identity == "thm12" else None,
+        mode=mode,
+        seed=20090812 if mode == "numeric" else None,
+    )
+    report = verify(spec)
     assert not report.holds
     assert report.residual_terms > 0
-    assert report.residual_sample
+    if mode == "symbolic":
+        assert report.residual_sample
+    else:
+        lhs, rhs = IDENTITIES[identity].build(spec)
+        assert set(report.params_used) == lhs.variables() | rhs.variables()
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+def test_registry_entry_verifies_at_smallest_spec(identity):
+    entry = IDENTITIES[identity]
+    spec = IdentitySpec(
+        identity,
+        n=entry.min_n,
+        m=entry.min_m,
+        i=2 if entry.takes_i else None,
+        seed=0 if entry.needs_seed else None,
+    )
+    assert verify(spec).holds
+    with pytest.raises(ValueError):
+        verify(dataclasses.replace(spec, n=spec.n - 1))
+    if spec.m is not None:
+        with pytest.raises(ValueError):
+            verify(dataclasses.replace(spec, m=spec.m - 1))
 
 
 def test_enumerate_specs_matrix():
