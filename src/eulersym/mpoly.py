@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from eulersym.exact import format_fraction
 
@@ -30,6 +30,16 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _canonical(mono: Iterable[tuple[str, int]]) -> Monomial:
+    """Sorted, with repeated variables merged and zero exponents dropped."""
+    exps: dict[str, int] = {}
+    for var, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of {var!r} in a monomial")
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted((var, e) for var, e in exps.items() if e))
+
+
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -39,9 +49,12 @@ class MultiPoly:
         canon: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coef in terms.items():
-                c = Fraction(coef)
-                if c != 0:
-                    canon[mono] = c
+                key = _canonical(mono)
+                s = canon.get(key, 0) + Fraction(coef)
+                if s == 0:
+                    canon.pop(key, None)
+                else:
+                    canon[key] = s
         object.__setattr__(self, "terms", canon)
 
     # -- constructors ------------------------------------------------------
@@ -109,18 +122,7 @@ class MultiPoly:
             return out
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                s = terms.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -177,7 +179,7 @@ class MultiPoly:
         return deg
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+        return self.terms.get(_canonical(mono), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -298,10 +300,47 @@ def compositions(n: int, m: int) -> Iterator[Composition]:
             yield (first,) + rest
 
 
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of p * q over the pairs, collected into one term map."""
+    terms: dict[Monomial, Fraction] = {}
+    for p, q in pairs:
+        for m1, c1 in p.terms.items():
+            for m2, c2 in q.terms.items():
+                mono = _merge_monomials(m1, m2)
+                s = terms.get(mono, Fraction(0)) + c1 * c2
+                if s == 0:
+                    terms.pop(mono, None)
+                else:
+                    terms[mono] = s
+    out = MultiPoly.__new__(MultiPoly)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:
+    """The sum over the weak compositions k of n of prod_j factors[j][k_j].
+
+    That is the coefficient of t^n in prod_j (sum_k factors[j][k] t^k), or
+    sum_k factors[0][k] * composition_sum(factors[1:], n - k). Each inner sum
+    is built once, from the last factor forwards, as one sum_of_products;
+    zero entries are skipped. Every factor needs the entries 0..n.
+    """
+    if n < 0 or not factors:
+        raise ValueError(f"composition_sum requires n >= 0 and a factor, got n={n}")
+    series = dict(enumerate(MultiPoly._coerce(c) for c in factors[-1][: n + 1]))
+    for j in range(len(factors) - 2, -1, -1):
+        head = [MultiPoly._coerce(c) for c in factors[j][: n + 1]]
+        # The outermost level needs only the coefficient of t^n.
+        series = {
+            t: sum_of_products((head[k], series[t - k]) for k in range(t + 1) if head[k])
+            for t in (range(n + 1) if j else (n,))
+        }
+    return series[n]
+
+
 def poly_from_pairs(pairs: Iterable[tuple[dict[str, int], Scalar]]) -> MultiPoly:
     """Build a polynomial from (exponent dict, coefficient) pairs; test helper."""
     out = MultiPoly.zero()
     for exps, coef in pairs:
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        out = out + MultiPoly({mono: coef})
+        out = out + MultiPoly({tuple(exps.items()): coef})
     return out

@@ -152,6 +152,8 @@ def test_verify_usage_error_exit_2(capsys):
          "--seed", "7", "--param", "z=1"],
         # numeric mode with neither a seed nor values for every variable
         ["--identity", "thm12", "--m", "2", "--n", "2", "--mode", "numeric"],
+        # a seed in symbolic mode for an identity that draws no random tuple
+        ["--identity", "thm12", "--m", "2", "--n", "2", "--seed", "5"],
     ],
 )
 def test_verify_rejects_ignored_input_exit_2(capsys, argv):

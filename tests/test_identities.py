@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 import eulersym.identities as identities
-import eulersym.mpoly
-from eulersym.exact import binom_int, random_rational
+from eulersym.exact import random_rational
 from eulersym.identities import (
     IDENTITIES,
     IdentitySpec,
@@ -72,23 +71,6 @@ def test_thm12_rejects_bad_args():
         thm12_sides(0, 3)
     with pytest.raises(ValueError):
         thm12_sides(2, 0)
-
-
-def test_composition_accounting(monkeypatch):
-    # Each side-builder walks the composition stream once per outer index.
-    m, n = 3, 2
-    counter = {"yielded": 0}
-    real = eulersym.mpoly.compositions
-
-    def counting(total, parts):
-        for c in real(total, parts):
-            counter["yielded"] += 1
-            yield c
-
-    monkeypatch.setattr(identities, "compositions", counting)
-    thm12_sides(m, n)
-    per_pass = binom_int(n + m - 1, m - 1)
-    assert counter["yielded"] == per_pass * (m + 1)  # one LHS pass + m RHS passes
 
 
 # -- corollary on numbers --------------------------------------------------

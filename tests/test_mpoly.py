@@ -9,10 +9,12 @@ from eulersym.exact import binom_int
 from eulersym.mpoly import (
     MultiPoly,
     binom_poly,
+    composition_sum,
     compositions,
     delta,
     delta_star,
     shift_one,
+    sum_of_products,
 )
 from eulersym.polyfam import bernoulli_poly, euler_poly
 from tests.conftest import multipolys, one_var_polys, to_sympy
@@ -51,6 +53,25 @@ def test_ring_axioms(p, q, r):
 @given(multipolys(), multipolys())
 def test_multiplication_against_sympy(p, q):
     assert to_sympy(p * q) == sympy.expand(to_sympy(p) * to_sympy(q))
+
+
+@settings(max_examples=40)
+@given(multipolys(), multipolys(), multipolys())
+def test_sum_of_products_is_the_sum(p, q, r):
+    assert sum_of_products([(p, q), (q, r), (r, -p)]) == p * q + q * r - r * p
+
+
+def test_constructor_canonicalizes_monomials():
+    yx = MultiPoly({(("y", 1), ("x", 1)): 1})
+    assert yx == X * Y
+    assert (yx - X * Y).is_zero()
+    assert MultiPoly({(("x", 0),): 3}) == 3
+    assert MultiPoly({(("x", 1), ("x", 1)): 1}) == X**2
+    assert (X**2 * Y).coefficient((("y", 1), ("x", 1), ("x", 1), ("z", 0))) == 1
+    # Monomials that are equal once canonical add up, here to zero.
+    assert MultiPoly({(("x", 2),): 1, (("x", 1), ("x", 1)): -1}).is_zero()
+    with pytest.raises(ValueError):
+        MultiPoly({(("x", -1),): 1})
 
 
 # -- substitution, shift, difference operators -----------------------------
@@ -188,6 +209,38 @@ def test_compositions_rejects_bad_args():
         list(compositions(-1, 2))
     with pytest.raises(ValueError):
         list(compositions(2, 0))
+
+
+def _factor_entry(j: int, k: int):
+    """A polynomial, scalar or zero entry, by the position (j, k)."""
+    kind = (2 * j + k) % 4
+    if kind == 0:
+        return (X + j) ** k * Fraction(k + 1, j + 2) - Y * k
+    if kind == 1:
+        return Fraction(k - 2, j + 1)
+    if kind == 2:
+        return MultiPoly.variable(f"z_{j}") ** k + 1
+    return 0 if j % 2 else MultiPoly.zero()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_composition_sum_matches_brute_force(m, n):
+    factors = [[_factor_entry(j, k) for k in range(n + 1)] for j in range(m)]
+    expected = MultiPoly.zero()
+    for ks in compositions(n, m):
+        term = MultiPoly.constant(1)
+        for j, k in enumerate(ks):
+            term = term * factors[j][k]
+        expected = expected + term
+    assert composition_sum(factors, n).terms == expected.terms
+
+
+def test_composition_sum_rejects_bad_args():
+    with pytest.raises(ValueError):
+        composition_sum([[X]], -1)
+    with pytest.raises(ValueError):
+        composition_sum([], 2)
 
 
 # -- serialization ---------------------------------------------------------
