@@ -29,20 +29,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-REPORT_FIELDS = (
-    "identity",
-    "m",
-    "n",
-    "mode",
-    "holds",
-    "lhs_terms",
-    "rhs_terms",
-    "residual_terms",
-    "elapsed_ms",
-    "params",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -69,28 +55,19 @@ def _report_line(report: IdentityReport) -> str:
     )
 
 
-def _reports_csv(reports: list[IdentityReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS)
-    writer.writeheader()
-    for report in reports:
-        row = report.to_json_dict()
-        row["params"] = json.dumps(row["params"]) if row["params"] else ""
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _format_reports(reports: list[IdentityReport], fmt: str, single: bool) -> str:
+def _render(rows: list[dict], fmt: str, text: str, single: bool = False) -> str:
+    """The rows as JSON (the first row alone if single) or as CSV with a
+    header from their keys and nested objects as JSON cells; `text` as is."""
     if fmt == "json":
-        payload = reports[0].to_json_dict() if single else [r.to_json_dict() for r in reports]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(rows[0] if single else rows, indent=2) + "\n"
     if fmt == "csv":
-        return _reports_csv(reports)
-    lines = [_report_line(r) for r in reports]
-    if not single:
-        failed = sum(1 for r in reports if not r.holds)
-        lines.append(f"total={len(reports)} failed={failed}")
-    return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: json.dumps(v) if isinstance(v, dict) else v for k, v in row.items()})
+        return buf.getvalue()
+    return text
 
 
 # -- subcommands -----------------------------------------------------------
@@ -103,21 +80,9 @@ def cmd_numbers(args: argparse.Namespace) -> int:
     if upto < start:
         raise UsageError(f"--upto must be >= {start} for {kind}")
     fetch = {"bernoulli": bernoulli_number, "euler": euler_number, "btilde": b_tilde}[kind]
-    rows = [(k, fetch(k)) for k in range(start, upto + 1)]
-    if args.format == "json":
-        text = json.dumps(
-            [{"k": k, "value": format_fraction(v)} for k, v in rows], indent=2
-        ) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "value"])
-        for k, v in rows:
-            writer.writerow([k, format_fraction(v)])
-        text = buf.getvalue()
-    else:
-        text = "\n".join(f"{k}\t{format_fraction(v)}" for k, v in rows) + "\n"
-    _write_output(text, args.out)
+    rows = [{"k": k, "value": format_fraction(fetch(k))} for k in range(start, upto + 1)]
+    text = "".join(f"{row['k']}\t{row['value']}\n" for row in rows)
+    _write_output(_render(rows, args.format, text), args.out)
     return EXIT_OK
 
 
@@ -125,20 +90,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
     build = {"bernoulli": bernoulli_poly, "euler": euler_poly}[args.family]
-    poly = build(args.n, args.var)
-    if args.format == "json":
-        text = json.dumps(
-            {"family": args.family, "n": args.n, "poly": str(poly)}, indent=2
-        ) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "n", "poly"])
-        writer.writerow([args.family, args.n, str(poly)])
-        text = buf.getvalue()
-    else:
-        text = str(poly) + "\n"
-    _write_output(text, args.out)
+    poly = str(build(args.n, args.var))
+    row = {"family": args.family, "n": args.n, "poly": poly}
+    _write_output(_render([row], args.format, poly + "\n", single=True), args.out)
     return EXIT_OK
 
 
@@ -169,7 +123,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_output(_format_reports([report], args.format, single=True), args.out)
+    text = _report_line(report) + "\n"
+    _write_output(_render([report.to_json_dict()], args.format, text, single=True), args.out)
     return EXIT_OK if report.holds else EXIT_FAILED
 
 
@@ -177,8 +132,11 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     if args.max_m < 1 or args.max_n < 1:
         raise UsageError("--max-m and --max-n must be >= 1")
     reports = [verify(spec) for spec in enumerate_specs(args.max_m, args.max_n, args.seed)]
-    _write_output(_format_reports(reports, args.format, single=False), args.out)
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED
+    failed = sum(1 for r in reports if not r.holds)
+    text = "".join(_report_line(r) + "\n" for r in reports)
+    text += f"total={len(reports)} failed={failed}\n"
+    _write_output(_render([r.to_json_dict() for r in reports], args.format, text), args.out)
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------

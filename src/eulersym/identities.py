@@ -5,15 +5,23 @@ verdict is whether lhs - rhs has an empty term map. The r_0 parameter,
 constrained by r_0 + r_1 + ... + r_m = n - 1, is eliminated everywhere by
 substituting r_0 = (n - 1) - (r_1 + ... + r_m), so each identity becomes a
 polynomial statement in free variables over the rationals.
+
+Builders draw their free variables through `var`, which reads an ambient
+binding of names to ring elements: empty in symbolic mode, a sample point
+in numeric mode (so each side is built as one rational number), and a
+renaming where one identity is stated in another's variables (remark11).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import ChainMap
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from eulersym.exact import format_fraction, random_rational
 from eulersym.mpoly import MultiPoly, binom_poly, composition_sum, delta, delta_star, shift_one
@@ -34,7 +42,7 @@ class IdentitySpec:
     m: int | None = None
     i: int | None = None
     mode: str = "symbolic"
-    params: dict[str, Fraction] | None = None
+    params: dict[str, Fraction] | None = field(default=None, hash=False)
     seed: int | None = None
 
     def validate(self) -> None:
@@ -74,8 +82,8 @@ class IdentityReport:
     rhs_terms: int
     residual_terms: int
     elapsed_ms: float
-    residual_sample: str | None = None
-    params_used: dict[str, Fraction] | None = None
+    residual_sample: str | None = None  # lhs - rhs when nonzero; in numeric mode a number
+    params_used: dict[str, Fraction] | None = None  # numeric mode: the sample point
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,13 +104,38 @@ class IdentityReport:
         }
 
 
+# -- Free variables under an ambient binding --------------------------------
+
+_binding: ContextVar[Mapping[str, MultiPoly]] = ContextVar("binding", default={})
+
+
+def var(name: str) -> MultiPoly:
+    """The free variable `name` of a side builder: its value under the
+    ambient binding, or the variable itself where the name is unbound."""
+    try:
+        return _binding.get()[name]
+    except KeyError:
+        return MultiPoly.variable(name)
+
+
+@contextmanager
+def bound(values: Mapping[str, MultiPoly]) -> Iterator[None]:
+    """Bind names to ring elements for the builders called in the block;
+    names not in `values` keep their outer binding."""
+    token = _binding.set(ChainMap(values, _binding.get()))
+    try:
+        yield
+    finally:
+        _binding.reset(token)
+
+
 # -- Theorem on products of Euler polynomials (m parameters) ----------------
 
 
 def _r_variables(m: int, n: int) -> tuple[MultiPoly, list[MultiPoly], list[list[MultiPoly]]]:
     """The eliminated r_0, the binomials C(r_0, k), and C(r_j, k) at list
     index [j - 1][k], for j = 1..m and k = 0..n."""
-    rs = [MultiPoly.variable(f"r_{j}") for j in range(1, m + 1)]
+    rs = [var(f"r_{j}") for j in range(1, m + 1)]
     r0 = MultiPoly.constant(n - 1)
     for r in rs:
         r0 = r0 - r
@@ -115,7 +148,7 @@ def thm12_sides(m: int, n: int) -> tuple[MultiPoly, MultiPoly]:
     even m: mixed Bernoulli/Euler form with the r_0/2 prefactor)."""
     if m < 1 or n < 1:
         raise ValueError(f"thm12 requires m >= 1 and n >= 1, got m={m}, n={n}")
-    xs = [MultiPoly.variable(f"x_{j}") for j in range(1, m + 1)]
+    xs = [var(f"x_{j}") for j in range(1, m + 1)]
     r0, binom_r0, binom_r = _r_variables(m, n)
     ks = range(n + 1)
 
@@ -201,8 +234,7 @@ def thm11_part1_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
     eliminated, leaving a statement in x, y, r, s whose left side must be 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-    r, s = MultiPoly.variable("r"), MultiPoly.variable("s")
+    x, y, r, s = (var(v) for v in "xyrs")
     z = 1 - x - y
     t = MultiPoly.constant(n) - r - s
     lhs = (
@@ -217,8 +249,7 @@ def thm11_part2_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
     """Mixed Bernoulli/Euler relation with r + s + t = n - 1; z and t eliminated."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-    r, s = MultiPoly.variable("r"), MultiPoly.variable("s")
+    x, y, r, s = (var(v) for v in "xyrs")
     z = 1 - x - y
     t = MultiPoly.constant(n - 1) - r - s
 
@@ -248,23 +279,13 @@ def remark11_sides(n: int) -> tuple[tuple[MultiPoly, MultiPoly], tuple[MultiPoly
     """The m=2 even-branch instance rewritten in the (x, y, r, s) variables,
     paired with the three-parameter mixed relation it must coincide with.
 
-    Renaming: x_1 -> 1-y, x_2 -> x, r_1 -> s, r_2 -> (n-1)-r-s, so that the
-    eliminated r_0 becomes r.
+    The instance is built with x_1 = 1-y, x_2 = x, r_1 = s, r_2 = (n-1)-r-s
+    bound, so that the eliminated r_0 becomes r.
     """
-    l12, r12 = thm12_sides(2, n)
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-    r, s = MultiPoly.variable("r"), MultiPoly.variable("s")
-    t = MultiPoly.constant(n - 1) - r - s
-
-    def rename(p: MultiPoly) -> MultiPoly:
-        return (
-            p.substitute("x_1", 1 - y)
-            .substitute("x_2", x)
-            .substitute("r_1", s)
-            .substitute("r_2", t)
-        )
-
-    return (rename(l12), rename(r12)), thm11_part2_sides(n)
+    x, y, r, s = (var(v) for v in "xyrs")
+    with bound({"x_1": 1 - y, "x_2": x, "r_1": s, "r_2": (n - 1) - r - s}):
+        sides12 = thm12_sides(2, n)
+    return sides12, thm11_part2_sides(n)
 
 
 # -- Telescoping lemma and Appell-sequence lemma ---------------------------
@@ -322,7 +343,7 @@ def lemma22_sides(
         if i is None or not 2 <= i <= m:
             raise ValueError(f"eq2 requires an index i in 2..{m}, got {i}")
 
-    xs = [MultiPoly.variable(f"x_{j}") for j in range(1, m + 1)]
+    xs = [var(f"x_{j}") for j in range(1, m + 1)]
     _, binom_r0, binom_r = _r_variables(m, n)
     ks = range(n + 1)
     a_spec = AppellSpec.symbolic(n, "a")
@@ -371,7 +392,7 @@ def chu_vandermonde_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
     """sum_k C(r,k) C(s,n-k) = C(r+s,n) as polynomials in r and s."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    r, s = MultiPoly.variable("r"), MultiPoly.variable("s")
+    r, s = var("r"), var("s")
     lhs = composition_sum([[binom_poly(v, k) for k in range(n + 1)] for v in (r, s)], n)
     return lhs, binom_poly(r + s, n)
 
@@ -404,7 +425,7 @@ def _remark11_stacked(n: int) -> tuple[MultiPoly, MultiPoly]:
     l12 + w*r12 = l11 + w*r11, which holds exactly when both do. The fresh
     marker w keeps the two apart, so each term count is the sum of two."""
     (l12, r12), (l11, r11) = remark11_sides(n)
-    w = MultiPoly.variable("w")
+    w = var("w")
     return l12 + w * r12, l11 + w * r11
 
 
@@ -438,43 +459,43 @@ IDENTITIES: dict[str, Identity] = {
 }
 
 
-def _numeric_assignment(
-    spec: IdentitySpec, variables: set[str]
-) -> dict[str, Fraction]:
-    assignment: dict[str, Fraction] = dict(spec.params or {})
-    unknown = sorted(assignment.keys() - variables)
-    if unknown:
-        raise ValueError(f"params {unknown} occur in neither side of {spec.identity}")
-    missing = sorted(variables - assignment.keys())
-    if missing:
-        if spec.seed is None:
-            raise ValueError(
-                f"numeric mode needs values for {missing} or a seed to sample them"
-            )
-        rng = random.Random(spec.seed)
-        for v in missing:
-            assignment[v] = random_rational(rng)
-    return assignment
+class _SamplePoint(dict):
+    """A numeric-mode binding that fills itself: each name is bound the first
+    time it is asked for, to its param value or else to a value sampled from
+    the seed."""
+
+    def __init__(self, spec: IdentitySpec):
+        super().__init__()
+        self.params = dict(spec.params or {})
+        self.rng = None if spec.seed is None else random.Random(spec.seed)
+
+    def __missing__(self, name: str) -> MultiPoly:
+        if name in self.params:
+            value = self.params[name]
+        elif self.rng is None:
+            raise ValueError(f"numeric mode needs a value for {name!r} or a seed to sample it")
+        else:
+            value = random_rational(self.rng)
+        self[name] = MultiPoly.constant(value)
+        return self[name]
 
 
 def verify(spec: IdentitySpec) -> IdentityReport:
-    """Build the requested identity and certify it exactly."""
+    """Build the requested identity under its mode's binding and certify it
+    exactly. Numeric mode binds a sample point, so each side is one number."""
     spec.validate()
     start = time.perf_counter()
-    lhs, rhs = IDENTITIES[spec.identity].build(spec)
+    point = _SamplePoint(spec) if spec.mode == "numeric" else {}
+    with bound(point):
+        lhs, rhs = IDENTITIES[spec.identity].build(spec)
     if spec.mode == "numeric":
-        assignment = _numeric_assignment(spec, lhs.variables() | rhs.variables())
-        equal = lhs.evaluate(assignment) == rhs.evaluate(assignment)
-        return IdentityReport(
-            spec=spec,
-            holds=equal,
-            lhs_terms=len(lhs),
-            rhs_terms=len(rhs),
-            residual_terms=0 if equal else 1,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-            params_used=assignment,
-        )
-
+        # lemma21's x (which its operators shift) and the Appell coefficients
+        # are not drawn through var; they take their values here.
+        values = {v: point[v].constant_term() for v in sorted(lhs.variables() | rhs.variables())}
+        lhs, rhs = (MultiPoly.constant(side.evaluate(values)) for side in (lhs, rhs))
+        unknown = sorted(point.params.keys() - point.keys())
+        if unknown:
+            raise ValueError(f"params {unknown} are no variable of {spec.identity}")
     residual = lhs - rhs
     return IdentityReport(
         spec=spec,
@@ -483,7 +504,8 @@ def verify(spec: IdentitySpec) -> IdentityReport:
         rhs_terms=len(rhs),
         residual_terms=len(residual),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        residual_sample=None if residual.is_zero() else str(residual),
+        residual_sample=str(residual) if residual else None,
+        params_used={v: c.constant_term() for v, c in point.items()} or None,
     )
 
 

@@ -132,6 +132,18 @@ def test_verify_numeric_reports_sampled_params(capsys):
         assert isinstance(value, str)
 
 
+def test_verify_numeric_csv_writes_params_as_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "thm11_part2", "--n", "2", "--mode", "numeric",
+        "--param", "x=1/2", "--param", "y=1/3", "--param", "r=2", "--param", "s=-1/5",
+        "--format", "csv",
+    )
+    assert code == 0
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    assert row["lhs_terms"] == row["rhs_terms"] == "1"
+    assert json.loads(row["params"]) == {"x": "1/2", "y": "1/3", "r": "2", "s": "-1/5"}
+
+
 def test_verify_usage_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "thm12", "--m", "2", "--n", "0")
     assert code == 2

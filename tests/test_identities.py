@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import eulersym.identities as identities
-from eulersym.exact import random_rational
+from eulersym.exact import format_fraction, random_rational
 from eulersym.identities import (
     IDENTITIES,
     IdentitySpec,
@@ -21,7 +21,7 @@ from eulersym.identities import (
     thm12_sides,
     verify,
 )
-from eulersym.mpoly import MultiPoly, binom_poly, compositions
+from eulersym.mpoly import MultiPoly, binom_poly, compositions, delta
 from eulersym.polyfam import bernoulli_poly_shifted, euler_poly_shifted
 from eulersym.sequences import bernoulli_number, euler_at_zero
 
@@ -330,34 +330,80 @@ def test_verify_lemma21_seeded():
     assert report.holds
 
 
-# Each implanted sign bug: the builder it replaces, and how it corrupts the sides.
+def test_verify_numeric_accepts_param_of_a_cancelled_variable():
+    # Both sides of cor11 (2, 2) expand to 0, yet the builder draws r_1.
+    params = {"r_1": Fraction(1, 2)}
+    report = verify(IdentitySpec("cor11", n=2, m=2, mode="numeric", seed=7, params=params))
+    assert report.holds
+    assert set(report.params_used) == {"r_1", "r_2"}
+    assert report.params_used["r_1"] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("identity,m", [("thm12", 3), ("remark11", None)])
+def test_numeric_mode_binds_before_expanding(monkeypatch, identity, m):
+    def no_variable(name):
+        raise AssertionError(f"variable {name!r} built in numeric mode")
+
+    monkeypatch.setattr(MultiPoly, "variable", staticmethod(no_variable))
+    report = verify(IdentitySpec(identity, n=3, m=m, mode="numeric", seed=5))
+    assert report.holds
+    assert report.lhs_terms <= 1 and report.rhs_terms <= 1
+
+
+def test_numeric_lemma21_evaluates_x_after_the_build(monkeypatch):
+    # Were x bound before the operators shift it, delta_star would be 2*P and
+    # the swapped operator would go unnoticed.
+    monkeypatch.setattr(identities, "delta_star", delta)
+    report = verify(IdentitySpec("lemma21", n=4, m=3, mode="numeric", seed=11))
+    assert not report.holds
+    assert "x" in report.params_used
+
+
+def test_identity_spec_is_hashable():
+    params = {"r": Fraction(1, 3)}
+    spec = IdentitySpec("thm11_part2", n=2, mode="numeric", params=params, seed=3)
+    assert hash(spec) == hash(dataclasses.replace(spec, params=dict(params)))
+    assert len({spec, dataclasses.replace(spec)}) == 1
+
+
+# Each implanted sign bug: the builder it replaces, how it corrupts the sides,
+# and the m of the spec it is verified at.
 SIGN_FLIPS = {
-    "thm12": ("thm12_sides", lambda sides: (sides[0], -sides[1])),
-    "remark11": ("remark11_sides", lambda sides: ((sides[0][0], -sides[0][1]), sides[1])),
+    "thm12": ("thm12_sides", lambda sides: (sides[0], -sides[1]), 3),
+    "remark11": ("remark11_sides", lambda sides: ((sides[0][0], -sides[0][1]), sides[1]), None),
+    "lemma22_eq1": ("lemma22_sides", lambda sides: (sides[0], -sides[1]), 3),
 }
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
 @pytest.mark.parametrize("identity", list(SIGN_FLIPS))
 def test_negative_control_sign_flip(monkeypatch, identity, mode):
-    builder, flip = SIGN_FLIPS[identity]
+    builder, flip, m = SIGN_FLIPS[identity]
     real = getattr(identities, builder)
     monkeypatch.setattr(identities, builder, lambda *args: flip(real(*args)))
     spec = IdentitySpec(
-        identity,
-        n=3,
-        m=3 if identity == "thm12" else None,
-        mode=mode,
-        seed=20090812 if mode == "numeric" else None,
+        identity, n=3, m=m, mode=mode, seed=20090812 if mode == "numeric" else None
     )
     report = verify(spec)
     assert not report.holds
     assert report.residual_terms > 0
-    if mode == "symbolic":
-        assert report.residual_sample
-    else:
+    assert report.residual_sample
+    if mode == "numeric":
         lhs, rhs = IDENTITIES[identity].build(spec)
         assert set(report.params_used) == lhs.variables() | rhs.variables()
+
+
+def test_numeric_residual_is_the_exact_value(monkeypatch):
+    builder, flip, _ = SIGN_FLIPS["thm12"]
+    real = getattr(identities, builder)
+    monkeypatch.setattr(identities, builder, lambda *args: flip(real(*args)))
+    report = verify(IdentitySpec("thm12", n=3, m=2, mode="numeric", seed=1))
+    lhs, rhs = identities.thm12_sides(2, 3)
+    point = report.params_used
+    assert not report.holds
+    assert report.residual_sample == format_fraction(lhs.evaluate(point) - rhs.evaluate(point))
+    assert report.residual_terms == 1
+    assert report.lhs_terms <= 1 and report.rhs_terms <= 1
 
 
 @pytest.mark.parametrize("identity", list(IDENTITIES))
