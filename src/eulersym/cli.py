@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 from eulersym.exact import format_fraction, parse_fraction
@@ -41,15 +42,19 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report_line(report: IdentityReport) -> str:
-    spec = report.spec
-    status = "PASS" if report.holds else "FAIL"
+def _spec_label(spec: IdentitySpec) -> str:
     where = f"{spec.identity}" + (f" m={spec.m}" if spec.m is not None else "")
     where += f" n={spec.n}"
     if spec.i is not None:
         where += f" i={spec.i}"
+    return where
+
+
+def _report_line(report: IdentityReport) -> str:
+    spec = report.spec
+    status = "PASS" if report.holds else "FAIL"
     return (
-        f"{status} {where} mode={spec.mode} "
+        f"{status} {_spec_label(spec)} mode={spec.mode} "
         f"lhs_terms={report.lhs_terms} rhs_terms={report.rhs_terms} "
         f"residual_terms={report.residual_terms} elapsed_ms={report.elapsed_ms:.1f}"
     )
@@ -128,10 +133,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.holds else EXIT_FAILED
 
 
+def _verify_or_fail(spec: IdentitySpec) -> IdentityReport:
+    """verify(spec), or a failed report with no terms when its build raises;
+    the error goes to stderr, so one broken spec does not end the matrix."""
+    start = time.perf_counter()
+    try:
+        return verify(spec)
+    except Exception as exc:
+        print(f"error: {_spec_label(spec)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return IdentityReport(spec, False, 0, 0, 0, elapsed_ms)
+
+
 def cmd_verify_all(args: argparse.Namespace) -> int:
     if args.max_m < 1 or args.max_n < 1:
         raise UsageError("--max-m and --max-n must be >= 1")
-    reports = [verify(spec) for spec in enumerate_specs(args.max_m, args.max_n, args.seed)]
+    reports = [_verify_or_fail(spec) for spec in enumerate_specs(args.max_m, args.max_n, args.seed)]
     failed = sum(1 for r in reports if not r.holds)
     text = "".join(_report_line(r) + "\n" for r in reports)
     text += f"total={len(reports)} failed={failed}\n"

@@ -16,22 +16,24 @@ from __future__ import annotations
 
 import random
 import time
-from collections import ChainMap
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from eulersym.exact import format_fraction, random_rational
-from eulersym.mpoly import MultiPoly, binom_poly, composition_sum, delta, delta_star, shift_one
-from eulersym.polyfam import (
-    AppellSpec,
-    appell_poly_at,
-    bernoulli_poly_shifted,
-    euler_poly_shifted,
+from eulersym.mpoly import (
+    MultiPoly,
+    binom_poly,
+    bound,
+    composition_sum,
+    delta,
+    delta_star,
+    shift_one,
+    var,
 )
+from eulersym.polyfam import AppellSpec, appell_poly_at, bernoulli_poly_shifted, euler_poly_shifted
 from eulersym.sequences import b_tilde, bernoulli_number, euler_number
+
 
 @dataclass(frozen=True)
 class IdentitySpec:
@@ -102,31 +104,6 @@ class IdentityReport:
                 else None
             ),
         }
-
-
-# -- Free variables under an ambient binding --------------------------------
-
-_binding: ContextVar[Mapping[str, MultiPoly]] = ContextVar("binding", default={})
-
-
-def var(name: str) -> MultiPoly:
-    """The free variable `name` of a side builder: its value under the
-    ambient binding, or the variable itself where the name is unbound."""
-    try:
-        return _binding.get()[name]
-    except KeyError:
-        return MultiPoly.variable(name)
-
-
-@contextmanager
-def bound(values: Mapping[str, MultiPoly]) -> Iterator[None]:
-    """Bind names to ring elements for the builders called in the block;
-    names not in `values` keep their outer binding."""
-    token = _binding.set(ChainMap(values, _binding.get()))
-    try:
-        yield
-    finally:
-        _binding.reset(token)
 
 
 # -- Theorem on products of Euler polynomials (m parameters) ----------------
@@ -215,15 +192,18 @@ def cor11_sides(m: int, n: int) -> tuple[MultiPoly, MultiPoly]:
 # -- Three-parameter symmetric relations (x, y, r, s free) -----------------
 
 
-def _bernoulli_pair_sum(
-    n: int, s_arg: MultiPoly, t_arg: MultiPoly, x_arg: MultiPoly, y_arg: MultiPoly
+Family = Callable[[int, MultiPoly], MultiPoly]  # (k, argument) -> its k-th member there
+
+
+def _pair_sum(
+    n: int, s: MultiPoly, t: MultiPoly, x: MultiPoly, y: MultiPoly, p: Family, q: Family
 ) -> MultiPoly:
-    """sum_k (-1)^k C(s,k) C(t,n-k) B_(n-k)(x) B_k(y)."""
+    """sum_k (-1)^k C(s,k) C(t,n-k) P_(n-k)(x) Q_k(y) for the families P = p, Q = q."""
     ks = range(n + 1)
     return composition_sum(
         [
-            [binom_poly(s_arg, k) * bernoulli_poly_shifted(k, y_arg) * (-1) ** k for k in ks],
-            [binom_poly(t_arg, k) * bernoulli_poly_shifted(k, x_arg) for k in ks],
+            [binom_poly(s, k) * q(k, y) * (-1) ** k for k in ks],
+            [binom_poly(t, k) * p(k, x) for k in ks],
         ],
         n,
     )
@@ -237,10 +217,11 @@ def thm11_part1_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
     x, y, r, s = (var(v) for v in "xyrs")
     z = 1 - x - y
     t = MultiPoly.constant(n) - r - s
+    b = bernoulli_poly_shifted
     lhs = (
-        r * _bernoulli_pair_sum(n, s, t, x, y)
-        + s * _bernoulli_pair_sum(n, t, r, y, z)
-        + t * _bernoulli_pair_sum(n, r, s, z, x)
+        r * _pair_sum(n, s, t, x, y, b, b)
+        + s * _pair_sum(n, t, r, y, z, b, b)
+        + t * _pair_sum(n, r, s, z, x, b, b)
     )
     return lhs, MultiPoly.zero()
 
@@ -253,25 +234,9 @@ def thm11_part2_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
     z = 1 - x - y
     t = MultiPoly.constant(n - 1) - r - s
 
-    lhs = MultiPoly.zero()
-    for l in range(n):
-        lhs = lhs + (
-            binom_poly(s, l)
-            * binom_poly(t, n - 1 - l)
-            * euler_poly_shifted(l, y)
-            * euler_poly_shifted(n - 1 - l, x)
-            * Fraction((-1) ** l)
-        )
-    lhs = r * lhs / 2
-
-    first = MultiPoly.zero()
-    second = MultiPoly.zero()
-    for k in range(n + 1):
-        e_z = euler_poly_shifted(n - k, z)
-        common = binom_poly(r, k) * Fraction((-1) ** k)
-        first = first + common * binom_poly(s, n - k) * bernoulli_poly_shifted(k, x) * e_z
-        second = second + common * binom_poly(t, n - k) * bernoulli_poly_shifted(k, y) * e_z
-    rhs = first - second * Fraction((-1) ** n)
+    b, e = bernoulli_poly_shifted, euler_poly_shifted
+    lhs = r * _pair_sum(n - 1, s, t, x, y, e, e) / 2
+    rhs = _pair_sum(n, r, s, z, x, e, b) - _pair_sum(n, r, t, z, y, e, b) * (-1) ** n
     return lhs, rhs
 
 
@@ -405,12 +370,7 @@ def random_one_var_poly(
 ) -> MultiPoly:
     """Random polynomial in one variable with small rational coefficients."""
     degree = rng.randint(0, max_degree)
-    out = MultiPoly.zero()
-    for e in range(degree + 1):
-        c = random_rational(rng, bound, bound)
-        if c != 0:
-            out = out + MultiPoly.variable(v) ** e * c
-    return out
+    return MultiPoly({((v, e),): random_rational(rng, bound, bound) for e in range(degree + 1)})
 
 
 def _lemma21_sides(m: int, n: int, seed: int) -> tuple[MultiPoly, MultiPoly]:
@@ -489,8 +449,8 @@ def verify(spec: IdentitySpec) -> IdentityReport:
     with bound(point):
         lhs, rhs = IDENTITIES[spec.identity].build(spec)
     if spec.mode == "numeric":
-        # lemma21's x (which its operators shift) and the Appell coefficients
-        # are not drawn through var; they take their values here.
+        # lemma21's x is not drawn through var, as its operators shift it;
+        # it takes its value here.
         values = {v: point[v].constant_term() for v in sorted(lhs.variables() | rhs.variables())}
         lhs, rhs = (MultiPoly.constant(side.evaluate(values)) for side in (lhs, rhs))
         unknown = sorted(point.params.keys() - point.keys())

@@ -9,6 +9,9 @@ so "identity holds" literally means "LHS - RHS has no terms".
 from __future__ import annotations
 
 import math
+from collections import ChainMap
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -189,25 +192,16 @@ class MultiPoly:
     def substitute(self, v: str, replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Replace every occurrence of variable v by `replacement`, expanded."""
         repl = self._coerce(replacement)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(1), 1: repl}
-
-        def power(e: int) -> MultiPoly:
-            if e not in powers:
-                powers[e] = power(e - 1) * repl
-            return powers[e]
-
-        out = MultiPoly.zero()
+        # The terms grouped by their exponent of v, with v taken out.
+        groups: dict[int, dict[Monomial, Fraction]] = {}
         for mono, c in self.terms.items():
-            e_v = 0
-            rest = []
-            for var, e in mono:
-                if var == v:
-                    e_v = e
-                else:
-                    rest.append((var, e))
-            base = MultiPoly({tuple(rest): c})
-            out = out + (base * power(e_v) if e_v else base)
-        return out
+            e_v = dict(mono).get(v, 0)
+            rest = tuple((var, e) for var, e in mono if var != v) if e_v else mono
+            groups.setdefault(e_v, {})[rest] = c
+        powers = [MultiPoly.constant(1)]
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * repl)
+        return sum_of_products((MultiPoly(rest), powers[e]) for e, rest in groups.items())
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full rational assignment of the occurring variables."""
@@ -251,6 +245,31 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+# -- free variables under an ambient binding --------------------------------
+
+_binding: ContextVar[Mapping[str, MultiPoly]] = ContextVar("binding", default={})
+
+
+def var(name: str) -> MultiPoly:
+    """The free variable `name` of a builder: its value under the ambient
+    binding, or the variable itself where the name is unbound."""
+    try:
+        return _binding.get()[name]
+    except KeyError:
+        return MultiPoly.variable(name)
+
+
+@contextmanager
+def bound(values: Mapping[str, MultiPoly]) -> Iterator[None]:
+    """Bind names to ring elements for the builders called in the block;
+    names not in `values` keep their outer binding."""
+    token = _binding.set(ChainMap(values, _binding.get()))
+    try:
+        yield
+    finally:
+        _binding.reset(token)
 
 
 # -- difference operators and binomials ------------------------------------
@@ -336,11 +355,3 @@ def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> 
             for t in (range(n + 1) if j else (n,))
         }
     return series[n]
-
-
-def poly_from_pairs(pairs: Iterable[tuple[dict[str, int], Scalar]]) -> MultiPoly:
-    """Build a polynomial from (exponent dict, coefficient) pairs; test helper."""
-    out = MultiPoly.zero()
-    for exps, coef in pairs:
-        out = out + MultiPoly({tuple(exps.items()): coef})
-    return out

@@ -1,12 +1,11 @@
 """Bernoulli, Euler, and generic Appell-type polynomials as MultiPoly values.
 
-B_n(x) = sum_k C(n,k) B_k x^(n-k)
-E_n(x) = sum_k C(n,k) (E_k / 2^k) (x - 1/2)^(n-k)
-A_k(t) = sum_l C(k,l) (-1)^l a_l t^(k-l)   for a coefficient sequence a_l
-
-Each family is expanded once into monomial-basis coefficients (cached per
-degree); composition with an affine or polynomial argument is then plain
-substitution of powers.
+All three are Appell sequences, A_k(t) = sum_l C(k,l) c_l t^(k-l) with
+c_l = A_l(0): c_l = B_l for Bernoulli, c_l = E_l(0) for Euler, and
+c_l = (-1)^l a_l for a coefficient sequence a_l. `_appell_coeffs` expands
+this rule into monomial-basis coefficients (cached per degree for B and E);
+composition with a polynomial argument is then plain substitution of
+powers, in `_from_coeffs`.
 """
 
 from __future__ import annotations
@@ -14,38 +13,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from eulersym.exact import binom_int
-from eulersym.mpoly import MultiPoly, Scalar
-from eulersym.sequences import bernoulli_number, euler_number
+from eulersym.mpoly import MultiPoly, Scalar, var
+from eulersym.sequences import bernoulli_number, euler_at_zero
 
 AppellCoeff = Union[Fraction, int, str]  # str means a symbolic variable name
 
 
+def _appell_coeffs(at_zero: Callable[[int], Fraction | MultiPoly], k: int) -> list:
+    """Monomial-basis coefficients of A_k, index = power: C(k,l) A_l(0) at k - l."""
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
+    return [at_zero(k - e) * binom_int(k, e) for e in range(k + 1)]
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Monomial-basis coefficients of B_n(x), index = power of x."""
-    c = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c[n - k] += binom_int(n, k) * bernoulli_number(k)
-    return tuple(c)
+    return tuple(_appell_coeffs(bernoulli_number, n))
 
 
 @lru_cache(maxsize=None)
 def _euler_coeffs(n: int) -> tuple[Fraction, ...]:
-    """Monomial-basis coefficients of E_n(x), index = power of x."""
-    c = [Fraction(0)] * (n + 1)
-    half = Fraction(-1, 2)
-    for k in range(n + 1):
-        lead = binom_int(n, k) * euler_number(k) / Fraction(2**k)
-        d = n - k  # expand (x - 1/2)^d
-        for j in range(d + 1):
-            c[j] += lead * binom_int(d, j) * half ** (d - j)
-    return tuple(c)
+    return tuple(_appell_coeffs(euler_at_zero, n))
 
 
-def _from_coeffs(coeffs: Sequence[Fraction], arg: MultiPoly) -> MultiPoly:
+def _from_coeffs(coeffs: Sequence[Fraction | MultiPoly], arg: MultiPoly) -> MultiPoly:
     out = MultiPoly.zero()
     power = MultiPoly.constant(1)
     for e, c in enumerate(coeffs):
@@ -58,29 +52,21 @@ def _from_coeffs(coeffs: Sequence[Fraction], arg: MultiPoly) -> MultiPoly:
 
 def bernoulli_poly(n: int, v: str = "x") -> MultiPoly:
     """The Bernoulli polynomial B_n in variable v."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return _from_coeffs(_bernoulli_coeffs(n), MultiPoly.variable(v))
+    return bernoulli_poly_shifted(n, MultiPoly.variable(v))
 
 
 def euler_poly(n: int, v: str = "x") -> MultiPoly:
     """The Euler polynomial E_n in variable v."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return _from_coeffs(_euler_coeffs(n), MultiPoly.variable(v))
+    return euler_poly_shifted(n, MultiPoly.variable(v))
 
 
 def bernoulli_poly_shifted(n: int, arg: MultiPoly | Scalar) -> MultiPoly:
     """B_n composed with a polynomial argument, fully expanded."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
     return _from_coeffs(_bernoulli_coeffs(n), MultiPoly._coerce(arg))
 
 
 def euler_poly_shifted(n: int, arg: MultiPoly | Scalar) -> MultiPoly:
     """E_n composed with a polynomial argument, fully expanded."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
     return _from_coeffs(_euler_coeffs(n), MultiPoly._coerce(arg))
 
 
@@ -107,29 +93,20 @@ class AppellSpec:
     @classmethod
     def euler(cls, n: int) -> "AppellSpec":
         """a_l = (-1)^l E_l(0), which makes A_k(t) = E_k(t)."""
-        from eulersym.sequences import euler_at_zero
-
         return cls(tuple((-1) ** l * euler_at_zero(l) for l in range(n + 1)))
 
-    def entry(self, l: int) -> MultiPoly:
+    def entry(self, l: int) -> MultiPoly | Fraction:
+        """a_l: a named coefficient drawn through `var`, else a rational."""
         c = self.coeffs[l]
-        if isinstance(c, str):
-            return MultiPoly.variable(c)
-        return MultiPoly.constant(c)
+        return var(c) if isinstance(c, str) else Fraction(c)
 
 
 def appell_poly_at(spec: AppellSpec, k: int, arg: MultiPoly | Scalar) -> MultiPoly:
     """A_k evaluated at a polynomial argument."""
     if not 0 <= k < len(spec.coeffs):
         raise ValueError(f"degree {k} outside the spec's range 0..{len(spec.coeffs) - 1}")
-    base = MultiPoly._coerce(arg)
-    powers = [MultiPoly.constant(1)]
-    for _ in range(k):
-        powers.append(powers[-1] * base)
-    out = MultiPoly.zero()
-    for l in range(k + 1):
-        out = out + spec.entry(l) * powers[k - l] * Fraction((-1) ** l * binom_int(k, l))
-    return out
+    coeffs = _appell_coeffs(lambda l: spec.entry(l) * (-1) ** l, k)
+    return _from_coeffs(coeffs, MultiPoly._coerce(arg))
 
 
 def appell_poly(spec: AppellSpec, k: int, v: str = "x") -> MultiPoly:

@@ -5,9 +5,17 @@ import pytest
 import sympy
 from hypothesis import strategies as st
 
-from eulersym.mpoly import MultiPoly, poly_from_pairs
+from eulersym.mpoly import MultiPoly
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def poly_from_pairs(pairs):
+    """The sum of the terms coef * prod v^e over (exponent dict, coef) pairs."""
+    out = MultiPoly.zero()
+    for exps, coef in pairs:
+        out = out + MultiPoly({tuple(exps.items()): coef})
+    return out
 
 
 @st.composite

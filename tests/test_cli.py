@@ -239,6 +239,24 @@ def test_verify_all_csv(capsys):
     assert rows and all(r["holds"] == "True" for r in rows)
 
 
+def test_verify_all_survives_a_builder_exception(monkeypatch, capsys):
+    def broken(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(identities, "thm11_part1_sides", broken)
+    code, out, err = run_cli(
+        capsys, "verify-all", "--max-m", "1", "--max-n", "1", "--format", "json"
+    )
+    assert code == 1
+    assert err == "error: thm11_part1 n=1: RuntimeError: boom\n"
+    reports = json.loads(out)
+    assert len(reports) == len(list(identities.enumerate_specs(1, 1)))
+    failed = [r for r in reports if not r["holds"]]
+    assert [r["identity"] for r in failed] == ["thm11_part1"]
+    assert failed[0]["lhs_terms"] == failed[0]["rhs_terms"] == failed[0]["residual_terms"] == 0
+    assert set(failed[0]) == set(reports[0])
+
+
 def test_verify_all_bad_bounds(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--max-m", "0", "--max-n", "3")
     assert code == 2

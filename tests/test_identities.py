@@ -339,13 +339,16 @@ def test_verify_numeric_accepts_param_of_a_cancelled_variable():
     assert report.params_used["r_1"] == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("identity,m", [("thm12", 3), ("remark11", None)])
+@pytest.mark.parametrize(
+    "identity,m", [("thm12", 3), ("remark11", None), ("lemma22_eq1", 3), ("lemma22_eq2", 3)]
+)
 def test_numeric_mode_binds_before_expanding(monkeypatch, identity, m):
     def no_variable(name):
         raise AssertionError(f"variable {name!r} built in numeric mode")
 
     monkeypatch.setattr(MultiPoly, "variable", staticmethod(no_variable))
-    report = verify(IdentitySpec(identity, n=3, m=m, mode="numeric", seed=5))
+    i = 2 if IDENTITIES[identity].takes_i else None
+    report = verify(IdentitySpec(identity, n=3, m=m, i=i, mode="numeric", seed=5))
     assert report.holds
     assert report.lhs_terms <= 1 and report.rhs_terms <= 1
 

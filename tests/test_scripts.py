@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -19,3 +20,20 @@ def test_term_growth_runs():
     lines = result.stdout.splitlines()
     assert lines[0].split() == ["m", "n", "lhs", "terms", "rhs", "terms", "seconds"]
     assert len(lines) == 1 + 2 * 2
+
+
+def test_benchmark_worker_traced_pass_with_control(tmp_path):
+    # The tracer and the negative control look program names up by name; a
+    # renamed one makes this pass fail or its control go unchecked.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", "matrix",
+         "--seed", "0", "--trace", "--control", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["failed"] == 0, payload["errors"]
+    assert payload["attempted"] > 0
+    assert payload["negative_control_ok"] is True
