@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from eulersym.exact import format_fraction, parse_fraction
+from eulersym.exact import format_fraction
 from eulersym.identities import (
     IDENTITIES,
     IdentityReport,
@@ -108,7 +108,7 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
             raise UsageError(f"--param expects name=p/q, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            params[name.strip()] = parse_fraction(value)
+            params[name.strip()] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad fraction in --param {pair!r}: {exc}") from exc
     return params

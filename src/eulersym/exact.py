@@ -29,11 +29,6 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into an exact fraction."""
-    return Fraction(text.strip())
-
-
 def random_rational(rng: random.Random, max_num: int = 20, max_den: int = 20) -> Fraction:
     """Small random rational: |numerator| <= max_num, denominator <= max_den."""
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))

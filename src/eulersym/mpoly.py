@@ -58,7 +58,7 @@ class MultiPoly:
                     canon.pop(key, None)
                 else:
                     canon[key] = s
-        object.__setattr__(self, "terms", canon)
+        self.terms = canon
 
     # -- constructors ------------------------------------------------------
 
@@ -73,6 +73,13 @@ class MultiPoly:
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return cls({((name, 1),): Fraction(1)})
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "MultiPoly":
+        """Wrap a term map that is already canonical, without copying it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @staticmethod
     def _coerce(other) -> "MultiPoly":
@@ -95,16 +102,12 @@ class MultiPoly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = s
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return MultiPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return MultiPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         q = self._coerce(other)
@@ -120,9 +123,7 @@ class MultiPoly:
             c = Fraction(other)
             if c == 0:
                 return MultiPoly.zero()
-            out = MultiPoly.__new__(MultiPoly)
-            object.__setattr__(out, "terms", {m: k * c for m, k in self.terms.items()})
-            return out
+            return MultiPoly._of({m: k * c for m, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return sum_of_products([(self, other)])
@@ -331,9 +332,7 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = s
-    out = MultiPoly.__new__(MultiPoly)
-    object.__setattr__(out, "terms", terms)
-    return out
+    return MultiPoly._of(terms)
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:

@@ -144,6 +144,17 @@ def test_verify_numeric_csv_writes_params_as_json(capsys):
     assert json.loads(row["params"]) == {"x": "1/2", "y": "1/3", "r": "2", "s": "-1/5"}
 
 
+def test_verify_numeric_lemma21_takes_a_param_for_x(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "lemma21", "--m", "3", "--n", "4", "--seed", "11",
+        "--mode", "numeric", "--param", "x=1/2", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    assert payload["params"] == {"x": "1/2"}
+
+
 def test_verify_usage_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "thm12", "--m", "2", "--n", "0")
     assert code == 2

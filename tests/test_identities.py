@@ -151,30 +151,25 @@ def test_remark11_equivalence(n):
 
 def test_lemma21_hand_example():
     x = MultiPoly.variable("x")
-    assert lemma21_residual([x, x], "even").is_zero()
+    assert lemma21_residual([x, x]).is_zero()
 
 
 def test_lemma21_constants():
     ones = [MultiPoly.constant(1)] * 3
-    assert lemma21_residual(ones, "odd").is_zero()
+    assert lemma21_residual(ones).is_zero()
 
 
 def test_lemma21_randomized(rng):
     for trial in range(40):
         m = rng.randint(2, 5)
         polys = [random_one_var_poly(rng, max_degree=3) for _ in range(m)]
-        parity = "odd" if m % 2 == 1 else "even"
-        assert lemma21_residual(polys, parity).is_zero()
+        assert lemma21_residual(polys).is_zero()
 
 
 def test_lemma21_errors():
     x = MultiPoly.variable("x")
     with pytest.raises(ValueError):
-        lemma21_residual([x], "odd")
-    with pytest.raises(ValueError):
-        lemma21_residual([x, x], "odd")  # parity mismatch
-    with pytest.raises(ValueError):
-        lemma21_residual([x, x], "both")
+        lemma21_residual([x])
 
 
 # -- Appell convolution lemma ----------------------------------------------
@@ -287,9 +282,10 @@ def test_verify_numeric_matches_symbolic():
         {"identity": "cor11", "n": 4, "m": 2},
         {"identity": "thm11_part2", "n": 3},
         {"identity": "remark11", "n": 3},
+        {"identity": "lemma21", "n": 4, "m": 3, "seed": 11},
     ]:
         symbolic = verify(IdentitySpec(mode="symbolic", **spec_args))
-        numeric = verify(IdentitySpec(mode="numeric", seed=7, **spec_args))
+        numeric = verify(IdentitySpec(mode="numeric", **{"seed": 7, **spec_args}))
         assert symbolic.holds == numeric.holds is True
         assert numeric.params_used is not None
 

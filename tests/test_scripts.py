@@ -1,25 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_term_growth_runs():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "term_growth.py"), "--max-m", "2", "--max-n", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0].split() == ["m", "n", "lhs", "terms", "rhs", "terms", "seconds"]
-    assert len(lines) == 1 + 2 * 2
 
 
 def test_benchmark_worker_traced_pass_with_control(tmp_path):
