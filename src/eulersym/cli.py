@@ -107,6 +107,8 @@ def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise UsageError(f"--param expects name=p/q, got {pair!r}")
         name, _, value = pair.partition("=")
+        if name.strip() in params:
+            raise UsageError(f"--param {name.strip()!r} is given twice")
         try:
             params[name.strip()] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

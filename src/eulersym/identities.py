@@ -33,7 +33,7 @@ from eulersym.mpoly import (
     shift_one,
     var,
 )
-from eulersym.polyfam import AppellSpec, appell_poly_at, bernoulli_poly_shifted, euler_poly_shifted
+from eulersym.polyfam import appell_poly_at, bernoulli_poly_shifted, euler_poly_shifted
 from eulersym.sequences import b_tilde, bernoulli_number, euler_number
 
 
@@ -297,13 +297,13 @@ def lemma22_sides(
     xs = [var(f"x_{j}") for j in range(1, m + 1)]
     _, binom_r0, binom_r = _r_variables(m, n)
     ks = range(n + 1)
-    a_spec = AppellSpec.symbolic(n, "a")
+    a = lambda l: var(f"a_{l}")
 
     if which == "eq1":
         lhs = composition_sum(
             [[binom_r0[k] * (-xs[0]) ** k for k in ks]]
             + [
-                [binom_r[j][k] * appell_poly_at(a_spec, k, xs[j] - xs[0]) for k in ks]
+                [binom_r[j][k] * appell_poly_at(a, k, xs[j] - xs[0]) for k in ks]
                 for j in range(1, m)
             ],
             n,
@@ -311,14 +311,14 @@ def lemma22_sides(
         rhs = composition_sum(
             [[binom_r[0][k] * xs[0] ** k for k in ks]]
             + [
-                [binom_r[j][k] * appell_poly_at(a_spec, k, xs[j]) for k in ks]
+                [binom_r[j][k] * appell_poly_at(a, k, xs[j]) for k in ks]
                 for j in range(1, m)
             ],
             n,
         )
         return lhs, rhs
 
-    abar_spec = AppellSpec.symbolic(n, "abar")
+    abar = lambda l: var(f"abar_{l}")
 
     def eq2_side(p: int, q: int) -> MultiPoly:
         # Factor p carries r_0 and a(-x_p), factor q the gap (x_q - x_p)^k,
@@ -327,12 +327,12 @@ def lemma22_sides(
         factors = []
         for j in range(m):
             if j == p:
-                factors.append([binom_r0[k] * appell_poly_at(a_spec, k, -xs[p]) for k in ks])
+                factors.append([binom_r0[k] * appell_poly_at(a, k, -xs[p]) for k in ks])
             elif j == q:
                 factors.append([binom_r[q][k] * (xs[q] - xs[p]) ** k for k in ks])
             else:
                 factors.append(
-                    [binom_r[j][k] * appell_poly_at(abar_spec, k, xs[j] - xs[p]) for k in ks]
+                    [binom_r[j][k] * appell_poly_at(abar, k, xs[j] - xs[p]) for k in ks]
                 )
         return composition_sum(factors, n)
 

@@ -68,7 +68,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        return cls({(): Fraction(c)})
+        return cls._of({(): Fraction(c)} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -116,7 +116,10 @@ class MultiPoly:
         return self + (-q)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) - self
+        q = self._coerce(other)
+        if q is NotImplemented:
+            return NotImplemented
+        return q - self
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -192,17 +195,12 @@ class MultiPoly:
 
     def substitute(self, v: str, replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Replace every occurrence of variable v by `replacement`, expanded."""
-        repl = self._coerce(replacement)
         # The terms grouped by their exponent of v, with v taken out.
-        groups: dict[int, dict[Monomial, Fraction]] = {}
+        groups: list[dict[Monomial, Fraction]] = [{} for _ in range(self.degree_in(v) + 1)]
         for mono, c in self.terms.items():
-            e_v = dict(mono).get(v, 0)
-            rest = tuple((var, e) for var, e in mono if var != v) if e_v else mono
-            groups.setdefault(e_v, {})[rest] = c
-        powers = [MultiPoly.constant(1)]
-        for _ in range(max(groups, default=0)):
-            powers.append(powers[-1] * repl)
-        return sum_of_products((MultiPoly(rest), powers[e]) for e, rest in groups.items())
+            exps = dict(mono)
+            groups[exps.pop(v, 0)][tuple(exps.items())] = c
+        return polyval([MultiPoly._of(g) for g in groups], replacement)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full rational assignment of the occurring variables."""
@@ -333,6 +331,16 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
                 else:
                     terms[mono] = s
     return MultiPoly._of(terms)
+
+
+def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
+    """sum_e coeffs[e] * arg^e, expanded: one power table and one
+    sum_of_products, with the zero coefficients skipped."""
+    arg = MultiPoly._coerce(arg)
+    powers = [MultiPoly.constant(1)]
+    for _ in range(len(coeffs) - 1):
+        powers.append(powers[-1] * arg)
+    return sum_of_products((MultiPoly._coerce(c), p) for c, p in zip(coeffs, powers) if c)
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:

@@ -177,6 +177,9 @@ def test_verify_usage_error_exit_2(capsys):
         ["--identity", "thm12", "--m", "2", "--n", "2", "--mode", "numeric"],
         # a seed in symbolic mode for an identity that draws no random tuple
         ["--identity", "thm12", "--m", "2", "--n", "2", "--seed", "5"],
+        # a param name given twice
+        ["--identity", "chu_vandermonde", "--n", "2", "--mode", "numeric",
+         "--param", "r=1", "--param", "r=2", "--param", "s=3"],
     ],
 )
 def test_verify_rejects_ignored_input_exit_2(capsys, argv):

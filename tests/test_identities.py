@@ -296,6 +296,16 @@ def test_verify_numeric_samples_all_variables():
     assert set(numeric.params_used) == {"r_1", "r_2"}
 
 
+def test_verify_numeric_lemma22_draws_only_used_coefficients():
+    # Coefficients are drawn lazily: at m = 2 eq2 has no abar factor, so no
+    # abar_l is sampled.
+    for m, i in ((2, 2), (3, 3)):
+        lhs, rhs = lemma22_sides(m, 3, "eq2", i)
+        report = verify(IdentitySpec("lemma22_eq2", n=3, m=m, i=i, mode="numeric", seed=7))
+        assert report.holds
+        assert set(report.params_used) == lhs.variables() | rhs.variables()
+
+
 def test_verify_numeric_with_explicit_params():
     params = {"r": Fraction(1, 3), "s": Fraction(2), "x": Fraction(-1, 2), "y": Fraction(5, 7)}
     report = verify(IdentitySpec("thm11_part2", n=2, mode="numeric", params=params))

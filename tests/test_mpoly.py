@@ -13,6 +13,7 @@ from eulersym.mpoly import (
     compositions,
     delta,
     delta_star,
+    polyval,
     shift_one,
     sum_of_products,
 )
@@ -61,6 +62,12 @@ def test_sum_of_products_is_the_sum(p, q, r):
     assert sum_of_products([(p, q), (q, r), (r, -p)]) == p * q + q * r - r * p
 
 
+def test_unsupported_operand_raises_type_error():
+    for op in (lambda: 1.5 - X, lambda: X - 1.5, lambda: 1.5 + X, lambda: 1.5 * X):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_constructor_canonicalizes_monomials():
     yx = MultiPoly({(("y", 1), ("x", 1)): 1})
     assert yx == X * Y
@@ -85,6 +92,25 @@ def test_substitute_examples():
     q = X**2 + 3 * X
     assert q.substitute("x", X) == q
     assert (X * Y).substitute("z", X + 5) == X * Y
+
+
+@settings(max_examples=40)
+@given(multipolys(), multipolys(variables=("x", "y", "z")))
+def test_substitute_against_sympy(p, q):
+    expected = sympy.expand(to_sympy(p).subs(sympy.Symbol("x"), to_sympy(q)))
+    assert to_sympy(p.substitute("x", q)) == expected
+
+
+def test_polyval_is_the_sum_of_powers():
+    # Zero, scalar and MultiPoly coefficients, at a polynomial and a scalar.
+    q = X * Y - Fraction(2, 3)
+    coeffs = [Fraction(1, 2), 0, Y, -3, MultiPoly.zero(), X + 1]
+    for arg in (q, Fraction(5, 7)):
+        expected = sum((c * arg**e for e, c in enumerate(coeffs)), MultiPoly.zero())
+        assert polyval(coeffs, arg) == expected
+    assert polyval([], q) == MultiPoly.zero()
+    assert polyval([0, 0], q) == MultiPoly.zero()
+    assert polyval([4], q) == MultiPoly.constant(4)
 
 
 def test_shift_one_examples():

@@ -5,15 +5,13 @@ import pytest
 from eulersym.exact import binom_int
 from eulersym.mpoly import MultiPoly, delta, delta_star
 from eulersym.polyfam import (
-    AppellSpec,
-    appell_poly,
     appell_poly_at,
     bernoulli_poly,
     bernoulli_poly_shifted,
     euler_poly,
     euler_poly_shifted,
 )
-from eulersym.sequences import euler_at_zero
+from eulersym.sequences import bernoulli_number, euler_at_zero
 
 X = MultiPoly.variable("x")
 
@@ -68,37 +66,41 @@ def test_euler_from_bernoulli_halving():
         assert euler_poly(k) == combined
 
 
+def symbolic_coeffs(l):
+    return MultiPoly.variable(f"a_{l}")
+
+
 def test_appell_specializations():
-    assert appell_poly(AppellSpec.bernoulli(3), 2) == bernoulli_poly(2)
-    assert appell_poly(AppellSpec.euler(3), 2) == euler_poly(2)
+    # a_l = (-1)^l B_l gives A_k = B_k, and a_l = (-1)^l E_l(0) gives A_k = E_k.
+    def b(l):
+        return (-1) ** l * bernoulli_number(l)
+
+    def e(l):
+        return (-1) ** l * euler_at_zero(l)
+
     for k in range(8):
-        assert appell_poly(AppellSpec.bernoulli(8), k) == bernoulli_poly(k)
-        assert appell_poly(AppellSpec.euler(8), k) == euler_poly(k)
+        assert appell_poly_at(b, k, X) == bernoulli_poly(k)
+        assert appell_poly_at(e, k, X) == euler_poly(k)
 
 
 def test_appell_symbolic_example():
-    spec = AppellSpec.symbolic(1)
     a0, a1 = MultiPoly.variable("a_0"), MultiPoly.variable("a_1")
-    assert appell_poly(spec, 1) == a0 * X - a1
+    assert appell_poly_at(symbolic_coeffs, 1, X) == a0 * X - a1
 
 
 def test_appell_out_of_range():
-    spec = AppellSpec.symbolic(2)
     with pytest.raises(ValueError):
-        appell_poly(spec, 3)
-    with pytest.raises(ValueError):
-        AppellSpec(())
+        appell_poly_at(symbolic_coeffs, -1, X)
 
 
 def test_appell_translation_property():
     # A_k(x + y) = sum_l C(k, l) x^(k-l) A_l(y), fully symbolic coefficients.
-    spec = AppellSpec.symbolic(10)
     y = MultiPoly.variable("y")
     for k in range(11):
-        lhs = appell_poly_at(spec, k, X + y)
+        lhs = appell_poly_at(symbolic_coeffs, k, X + y)
         rhs = MultiPoly.zero()
         for l in range(k + 1):
-            rhs = rhs + binom_int(k, l) * X ** (k - l) * appell_poly_at(spec, l, y)
+            rhs = rhs + binom_int(k, l) * X ** (k - l) * appell_poly_at(symbolic_coeffs, l, y)
         assert lhs == rhs
 
 
