@@ -1,19 +1,32 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a map from monomials to nonzero Fraction coefficients,
-where a monomial is a sorted tuple of (variable name, positive exponent)
-pairs. The zero polynomial is the empty map and equality is structural,
-so "identity holds" literally means "LHS - RHS has no terms".
+A polynomial is stored as integer numerators over one positive common
+denominator `_d`, reduced so that gcd(_d, every numerator) = 1; so the
+representation is unique and equality is structural, and "identity holds"
+literally means "LHS - RHS has no terms". The product loop of
+`sum_of_products` runs on Python ints only.
+
+A monomial is packed into one int: each variable name is interned once to a
+slot i, whose exponent is the 16-bit field at bit 16*i, so the product of two
+monomials is their sum. Each polynomial carries an upper bound on its total
+degree; a product whose bound would reach 2^16 raises OverflowError rather
+than carry a field into its neighbour.
+
+`terms` is a read-only view of the same polynomial as a map from canonical
+monomials, sorted tuples of (variable name, positive exponent) pairs, to
+nonzero Fraction coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import ChainMap
+from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from eulersym.exact import format_fraction
 
@@ -21,65 +34,110 @@ Monomial = tuple[tuple[str, int], ...]
 Composition = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+# -- packed monomials -------------------------------------------------------
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_LIMIT = 1 << _BITS  # exponents and degree bounds stay below this
+_offsets: dict[str, int] = {}  # variable name -> bit offset of its field
+_names: list[str] = []  # slot -> variable name
+_intern_lock = threading.Lock()
 
 
-def _canonical(mono: Iterable[tuple[str, int]]) -> Monomial:
-    """Sorted, with repeated variables merged and zero exponents dropped."""
+def _shift(name: str) -> int:
+    """The bit offset of the field of `name`, interning the name on first use."""
+    try:
+        return _offsets[name]
+    except KeyError:
+        with _intern_lock:
+            if name not in _offsets:
+                _names.append(name)
+                _offsets[name] = _BITS * (len(_names) - 1)
+            return _offsets[name]
+
+
+def _pack(mono: Iterable[tuple[str, int]]) -> tuple[int, int]:
+    """A monomial given as (variable, exponent) pairs, in any order and with
+    repeats, as its packed int and its total degree."""
     exps: dict[str, int] = {}
-    for var, e in mono:
+    for name, e in mono:
         if e < 0:
-            raise ValueError(f"negative exponent {e} of {var!r} in a monomial")
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted((var, e) for var, e in exps.items() if e))
+            raise ValueError(f"negative exponent {e} of {name!r} in a monomial")
+        exps[name] = exps.get(name, 0) + e
+    packed = 0
+    for name, e in exps.items():
+        if e >= _LIMIT:
+            raise OverflowError(f"exponent {e} of {name!r} is not below {_LIMIT}")
+        if e:
+            packed += e << _shift(name)
+    return packed, sum(exps.values())
+
+
+def _unpack(packed: int) -> Monomial:
+    out = []
+    slot = 0
+    while packed:
+        if packed & _MASK:
+            out.append((_names[slot], packed & _MASK))
+        packed >>= _BITS
+        slot += 1
+    out.sort()
+    return tuple(out)
+
+
+class _Terms(Mapping):
+    """The read-only view MultiPoly.terms: canonical monomial -> Fraction."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "MultiPoly"):
+        self._p = p
+
+    def __getitem__(self, mono: Monomial) -> Fraction:
+        c = self._p._t.get(_pack(mono)[0])
+        if c is None:
+            raise KeyError(mono)
+        return Fraction(c, self._p._d)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(_unpack, self._p._t)
+
+    def __len__(self) -> int:
+        return len(self._p._t)
 
 
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "_d", "_deg")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canon: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                key = _canonical(mono)
-                s = canon.get(key, 0) + Fraction(coef)
-                if s == 0:
-                    canon.pop(key, None)
-                else:
-                    canon[key] = s
-        self.terms = canon
+        sums: dict[int, Fraction] = {}
+        deg = 0
+        for mono, coef in (terms or {}).items():
+            key, mono_deg = _pack(mono)
+            sums[key] = sums.get(key, 0) + Fraction(coef)
+            deg = max(deg, mono_deg)
+        sums = {m: c for m, c in sums.items() if c}
+        d = math.lcm(*(c.denominator for c in sums.values()))
+        self._t = {m: c.numerator * (d // c.denominator) for m, c in sums.items()}
+        self._d = d
+        self._deg = deg if sums else 0
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return _raw({}, 1, 0)
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        return cls._of({(): Fraction(c)} if c else {})
+        c = Fraction(c)
+        return _raw({0: c.numerator} if c else {}, c.denominator, 0)
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls({((name, 1),): Fraction(1)})
-
-    @classmethod
-    def _of(cls, terms: dict[Monomial, Fraction]) -> "MultiPoly":
-        """Wrap a term map that is already canonical, without copying it."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
+        return _raw({1 << _shift(name): 1}, 1, 1)
 
     @staticmethod
     def _coerce(other) -> "MultiPoly":
@@ -89,25 +147,31 @@ class MultiPoly:
             return MultiPoly.constant(other)
         return NotImplemented  # type: ignore[return-value]
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _Terms(self)
+
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
         q = self._coerce(other)
         if q is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in q.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
-            if s == 0:
-                terms.pop(mono, None)
+        d = math.lcm(self._d, q._d)
+        sp, sq = d // self._d, d // q._d
+        terms = {m: c * sp for m, c in self._t.items()}
+        for m, c in q._t.items():
+            s = terms.get(m, 0) + c * sq
+            if s:
+                terms[m] = s
             else:
-                terms[mono] = s
-        return MultiPoly._of(terms)
+                del terms[m]
+        return _reduced(terms, d, max(self._deg, q._deg))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._of({m: -c for m, c in self.terms.items()})
+        return _raw({m: -c for m, c in self._t.items()}, self._d, self._deg)
 
     def __sub__(self, other) -> "MultiPoly":
         q = self._coerce(other)
@@ -126,7 +190,8 @@ class MultiPoly:
             c = Fraction(other)
             if c == 0:
                 return MultiPoly.zero()
-            return MultiPoly._of({m: k * c for m, k in self.terms.items()})
+            terms = {m: k * c.numerator for m, k in self._t.items()}
+            return _reduced(terms, self._d * c.denominator, self._deg)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return sum_of_products([(self, other)])
@@ -158,49 +223,46 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._d == other._d and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._d, frozenset(self._t.items())))
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._t)
 
     def variables(self) -> set[str]:
         return {var for mono in self.terms for var, _ in mono}
 
     def degree_in(self, v: str) -> int:
-        deg = 0
-        for mono in self.terms:
-            for var, e in mono:
-                if var == v:
-                    deg = max(deg, e)
-        return deg
+        shift = _shift(v)
+        return max(((m >> shift) & _MASK for m in self._t), default=0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(_canonical(mono), Fraction(0))
+        return Fraction(self._t.get(_pack(mono)[0], 0), self._d)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._t.get(0, 0), self._d)
 
     # -- substitution and evaluation ---------------------------------------
 
     def substitute(self, v: str, replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Replace every occurrence of variable v by `replacement`, expanded."""
         # The terms grouped by their exponent of v, with v taken out.
-        groups: list[dict[Monomial, Fraction]] = [{} for _ in range(self.degree_in(v) + 1)]
-        for mono, c in self.terms.items():
-            exps = dict(mono)
-            groups[exps.pop(v, 0)][tuple(exps.items())] = c
-        return polyval([MultiPoly._of(g) for g in groups], replacement)
+        shift = _shift(v)
+        groups: list[dict[int, int]] = [{} for _ in range(self.degree_in(v) + 1)]
+        for m, c in self._t.items():
+            e = (m >> shift) & _MASK
+            groups[e][m - (e << shift)] = c
+        return polyval([_reduced(g, self._d, self._deg) for g in groups], replacement)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a full rational assignment of the occurring variables."""
@@ -223,7 +285,7 @@ class MultiPoly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         pieces: list[str] = []
         for idx, (mono, coef) in enumerate(self._ordered_terms()):
@@ -244,6 +306,31 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _raw(terms: dict[int, int], d: int, deg: int) -> MultiPoly:
+    """Wrap numerators over d that are nonzero and already reduced, without
+    copying them; deg bounds the total degree."""
+    out = MultiPoly.__new__(MultiPoly)
+    out._t, out._d, out._deg = terms, d, deg if terms else 0
+    return out
+
+
+def _reduced(terms: dict[int, int], d: int, deg: int) -> MultiPoly:
+    """Nonzero numerators over d > 0, divided by their common factor with d."""
+    g = math.gcd(d, *terms.values()) if terms else d
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        d //= g
+    return _raw(terms, d, deg)
+
+
+def _as_poly(x, routine: str) -> MultiPoly:
+    p = MultiPoly._coerce(x)
+    if p is NotImplemented:
+        raise TypeError(f"{routine}: expected an int, a Fraction or a MultiPoly, "
+                        f"got {type(x).__name__}")
+    return p
 
 
 # -- free variables under an ambient binding --------------------------------
@@ -294,9 +381,9 @@ def binom_poly(upper: MultiPoly | Scalar, k: int) -> MultiPoly:
 
     upper*(upper-1)*...*(upper-k+1)/k!; equals 1 for k = 0 and 0 for k < 0.
     """
+    up = _as_poly(upper, "binom_poly")
     if k < 0:
         return MultiPoly.zero()
-    up = MultiPoly._coerce(upper)
     prod = MultiPoly.constant(1)
     for i in range(k):
         prod = prod * (up - i)
@@ -319,28 +406,41 @@ def compositions(n: int, m: int) -> Iterator[Composition]:
 
 
 def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """The sum of p * q over the pairs, collected into one term map."""
-    terms: dict[Monomial, Fraction] = {}
+    """The sum of p * q over the pairs, collected into one term map.
+
+    Every product is taken over the lcm of the pairs' p._d * q._d, so the
+    inner loop adds and multiplies ints only; the result is reduced once."""
+    pairs = [(p, q) for p, q in pairs if p._t and q._t]
+    d, deg = 1, 0
     for p, q in pairs:
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
-                mono = _merge_monomials(m1, m2)
-                s = terms.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
-    return MultiPoly._of(terms)
+        bound = p._deg + q._deg
+        if bound >= _LIMIT:
+            raise OverflowError(f"a product of total degree up to {bound} is not below {_LIMIT}")
+        d, deg = math.lcm(d, p._d * q._d), max(deg, bound)
+    terms: dict[int, int] = {}
+    get = terms.get
+    for p, q in pairs:
+        scale = d // (p._d * q._d)
+        right = q._t.items()
+        for m1, c1 in p._t.items():
+            c1 *= scale
+            for m2, c2 in right:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
+    if 0 in terms.values():  # a scan is cheaper than a copy where nothing cancelled
+        terms = {m: c for m, c in terms.items() if c}
+    return _reduced(terms, d, deg)
 
 
 def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
     """sum_e coeffs[e] * arg^e, expanded: one power table and one
     sum_of_products, with the zero coefficients skipped."""
-    arg = MultiPoly._coerce(arg)
+    arg = _as_poly(arg, "polyval")
+    coeffs = [_as_poly(c, "polyval") for c in coeffs]
     powers = [MultiPoly.constant(1)]
     for _ in range(len(coeffs) - 1):
         powers.append(powers[-1] * arg)
-    return sum_of_products((MultiPoly._coerce(c), p) for c, p in zip(coeffs, powers) if c)
+    return sum_of_products((c, p) for c, p in zip(coeffs, powers) if c)
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:
@@ -353,9 +453,9 @@ def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> 
     """
     if n < 0 or not factors:
         raise ValueError(f"composition_sum requires n >= 0 and a factor, got n={n}")
-    series = dict(enumerate(MultiPoly._coerce(c) for c in factors[-1][: n + 1]))
+    series = dict(enumerate(_as_poly(c, "composition_sum") for c in factors[-1][: n + 1]))
     for j in range(len(factors) - 2, -1, -1):
-        head = [MultiPoly._coerce(c) for c in factors[j][: n + 1]]
+        head = [_as_poly(c, "composition_sum") for c in factors[j][: n + 1]]
         # The outermost level needs only the coefficient of t^n.
         series = {
             t: sum_of_products((head[k], series[t - k]) for k in range(t + 1) if head[k])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -451,3 +452,32 @@ def test_enumerate_specs_matrix():
     assert sum(1 for s in specs if s.identity == "thm12") == 9
     with pytest.raises(ValueError):
         list(enumerate_specs(0, 3))
+
+
+def _digest_specs():
+    """A fixed small instance of every identity with symbolic sides."""
+    yield from (("thm12", n, m, None) for m in range(1, 13) for n in range(1, 12 // m + 1))
+    yield from (("cor11", n, m, None) for m in range(1, 5) for n in range(1, 5))
+    for identity in ("thm11_part1", "thm11_part2"):
+        yield from ((identity, n, None, None) for n in range(1, 6))
+    yield from (("remark11", n, None, None) for n in range(1, 5))
+    yield from (("chu_vandermonde", n, None, None) for n in range(9))
+    for m in (2, 3):
+        for n in range(1, 5):
+            yield ("lemma22_eq1", n, m, None)
+            yield from (("lemma22_eq2", n, m, i) for i in range(2, m + 1))
+
+
+# The sha256 of the side term maps of _digest_specs. A change to the kernel,
+# the families or the builders that keeps every side the same polynomial keeps
+# it; it was taken with Fraction term maps before the integer kernel.
+SIDES_DIGEST = "71385cd35a1f7bab5984b0fd22dd225e97b88f896def93925fedf58590861b0c"
+
+
+def test_side_term_maps_match_pinned_digest():
+    digest = hashlib.sha256()
+    for identity, n, m, i in _digest_specs():
+        spec = IdentitySpec(identity, n=n, m=m, i=i)
+        for side in IDENTITIES[identity].build(spec):
+            digest.update(repr(sorted(side.terms.items())).encode())
+    assert digest.hexdigest() == SIDES_DIGEST

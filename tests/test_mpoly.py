@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from eulersym.mpoly import (
     shift_one,
     sum_of_products,
 )
-from eulersym.polyfam import bernoulli_poly, euler_poly
+from eulersym.polyfam import bernoulli_poly, euler_poly, euler_poly_shifted
 from tests.conftest import multipolys, one_var_polys, to_sympy
 
 X = MultiPoly.variable("x")
@@ -79,6 +81,88 @@ def test_constructor_canonicalizes_monomials():
     assert MultiPoly({(("x", 2),): 1, (("x", 1), ("x", 1)): -1}).is_zero()
     with pytest.raises(ValueError):
         MultiPoly({(("x", -1),): 1})
+
+
+def test_uncoercible_arguments_are_rejected_by_name():
+    with pytest.raises(TypeError, match="polyval.*float"):
+        X.substitute("y", 1.5)
+    with pytest.raises(TypeError, match="polyval.*float"):
+        X.substitute("x", 1.5)
+    with pytest.raises(TypeError, match="polyval.*float"):
+        polyval([1, 2.5], X)
+    with pytest.raises(TypeError, match="binom_poly.*float"):
+        binom_poly(1.5, 2)
+    with pytest.raises(TypeError, match="polyval.*float"):
+        euler_poly_shifted(2, 0.5)
+    with pytest.raises(TypeError, match="composition_sum.*float"):
+        composition_sum([[X, 1.5]], 1)
+
+
+# -- the integer kernel ------------------------------------------------------
+
+
+def test_equal_polynomials_share_one_reduced_form():
+    m = (("x", 1),)
+    assert MultiPoly({m: Fraction(2, 4)}) == MultiPoly({m: Fraction(1, 2)})
+    assert hash(MultiPoly({m: Fraction(2, 4)})) == hash(MultiPoly({m: Fraction(1, 2)}))
+    p = (X / 3 + Y / 6) * 6
+    assert p == 2 * X + Y
+    assert hash(p) == hash(2 * X + Y)
+
+
+@settings(max_examples=60)
+@given(multipolys(variables=("y", "x", "z")))
+def test_terms_view_round_trip(p):
+    assert MultiPoly(p.terms) == p
+    for mono, coef in p.terms.items():
+        assert mono == tuple(sorted(mono)) and all(e > 0 for _, e in mono)
+        assert type(coef) is Fraction and coef
+        assert p.terms[mono] == coef
+
+
+def test_terms_view_is_read_only():
+    p = X + 1
+    with pytest.raises(TypeError):
+        p.terms[(("y", 1),)] = Fraction(1)
+    assert p == X + 1
+
+
+def test_exponent_overflow_raises():
+    top = X**65535
+    assert top.degree_in("x") == 65535
+    for factor in (X, Y):
+        with pytest.raises(OverflowError):
+            top * factor
+    with pytest.raises(OverflowError):
+        MultiPoly({(("x", 65536),): 1})
+
+
+def test_concurrent_interning_gives_one_slot_per_name():
+    names = [f"fresh_{k}" for k in range(40)]
+    results: list[list[tuple[str, str, MultiPoly]]] = [[] for _ in range(8)]
+
+    def work(t):
+        # Each thread interns an overlapping window of the names, in its own order.
+        mine = names[5 * t : 5 * t + 12][:: 1 if t % 2 else -1]
+        for a, b in zip(mine, mine[1:]):
+            results[t].append((a, b, (MultiPoly.variable(a) + 1) * MultiPoly.variable(b) ** 2))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the interning too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    products = {}
+    for a, b, p in (r for rs in results for r in rs):
+        assert p.terms == {tuple(sorted(((a, 1), (b, 2)))): 1, ((b, 2),): 1}
+        assert products.setdefault((a, b), p) == p
+    assert len({MultiPoly.variable(n) for n in names}) == len(names)
 
 
 # -- substitution, shift, difference operators -----------------------------
