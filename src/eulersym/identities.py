@@ -299,24 +299,15 @@ def lemma22_sides(
     ks = range(n + 1)
     a = lambda l: var(f"a_{l}")
 
+    def eq1_side(binom: list[MultiPoly], y: MultiPoly, shift: MultiPoly | int) -> MultiPoly:
+        # Factor 1 carries C(b, k) y^k, every other factor j a(x_j - shift).
+        factors = [[binom[k] * y**k for k in ks]]
+        for j in range(1, m):
+            factors.append([binom_r[j][k] * appell_poly_at(a, k, xs[j] - shift) for k in ks])
+        return composition_sum(factors, n)
+
     if which == "eq1":
-        lhs = composition_sum(
-            [[binom_r0[k] * (-xs[0]) ** k for k in ks]]
-            + [
-                [binom_r[j][k] * appell_poly_at(a, k, xs[j] - xs[0]) for k in ks]
-                for j in range(1, m)
-            ],
-            n,
-        )
-        rhs = composition_sum(
-            [[binom_r[0][k] * xs[0] ** k for k in ks]]
-            + [
-                [binom_r[j][k] * appell_poly_at(a, k, xs[j]) for k in ks]
-                for j in range(1, m)
-            ],
-            n,
-        )
-        return lhs, rhs
+        return eq1_side(binom_r0, -xs[0], xs[0]), eq1_side(binom_r[0], xs[0], 0)
 
     abar = lambda l: var(f"abar_{l}")
 

@@ -9,8 +9,8 @@ literally means "LHS - RHS has no terms". The product loop of
 A monomial is packed into one int: each variable name is interned once to a
 slot i, whose exponent is the 16-bit field at bit 16*i, so the product of two
 monomials is their sum. Each polynomial carries an upper bound on its total
-degree; a product whose bound would reach 2^16 raises OverflowError rather
-than carry a field into its neighbour.
+degree; a product (the constructor forms one per term) whose bound would
+reach 2^16 raises OverflowError rather than carry a field into its neighbour.
 
 `terms` is a read-only view of the same polynomial as a map from canonical
 monomials, sorted tuples of (variable name, positive exponent) pairs, to
@@ -112,17 +112,12 @@ class MultiPoly:
     __slots__ = ("_t", "_d", "_deg")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        sums: dict[int, Fraction] = {}
-        deg = 0
+        pairs = []
         for mono, coef in (terms or {}).items():
-            key, mono_deg = _pack(mono)
-            sums[key] = sums.get(key, 0) + Fraction(coef)
-            deg = max(deg, mono_deg)
-        sums = {m: c for m, c in sums.items() if c}
-        d = math.lcm(*(c.denominator for c in sums.values()))
-        self._t = {m: c.numerator * (d // c.denominator) for m, c in sums.items()}
-        self._d = d
-        self._deg = deg if sums else 0
+            key, deg = _pack(mono)
+            pairs.append((MultiPoly.constant(coef), _raw({key: 1}, 1, deg)))
+        p = sum_of_products(pairs)
+        self._t, self._d, self._deg = p._t, p._d, p._deg
 
     # -- constructors ------------------------------------------------------
 
@@ -132,20 +127,15 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        c = Fraction(c)
-        return _raw({0: c.numerator} if c else {}, c.denominator, 0)
+        p = _coerce(c)
+        if p is NotImplemented or isinstance(c, MultiPoly):
+            raise TypeError(f"MultiPoly.constant: expected an int or a Fraction, "
+                            f"got {type(c).__name__}")
+        return p
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return _raw({1 << _shift(name): 1}, 1, 1)
-
-    @staticmethod
-    def _coerce(other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other)
-        return NotImplemented  # type: ignore[return-value]
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
@@ -154,7 +144,7 @@ class MultiPoly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other) -> "MultiPoly":
-        q = self._coerce(other)
+        q = _coerce(other)
         if q is NotImplemented:
             return NotImplemented
         d = math.lcm(self._d, q._d)
@@ -174,36 +164,32 @@ class MultiPoly:
         return _raw({m: -c for m, c in self._t.items()}, self._d, self._deg)
 
     def __sub__(self, other) -> "MultiPoly":
-        q = self._coerce(other)
+        q = _coerce(other)
         if q is NotImplemented:
             return NotImplemented
         return self + (-q)
 
     def __rsub__(self, other) -> "MultiPoly":
-        q = self._coerce(other)
-        if q is NotImplemented:
-            return NotImplemented
-        return q - self
+        return -self + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return MultiPoly.zero()
-            terms = {m: k * c.numerator for m, k in self._t.items()}
-            return _reduced(terms, self._d * c.denominator, self._deg)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return sum_of_products([(self, other)])
+        if isinstance(other, MultiPoly):
+            return sum_of_products([(self, other)])
+        q = _coerce(other)  # a scalar scales the numerators, cheaper than a product
+        if q is NotImplemented or not q._t:
+            return q
+        c = q._t[0]
+        return _reduced({m: k * c for m, k in self._t.items()}, self._d * q._d, self._deg)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "MultiPoly":
-        if not isinstance(scalar, (int, Fraction)):
+        q = _coerce(scalar)
+        if q is NotImplemented or isinstance(scalar, MultiPoly):
             return NotImplemented
-        if scalar == 0:
+        if not q._t:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * Fraction(q._d, q._t[0])
 
     def __pow__(self, e: int) -> "MultiPoly":
         if e < 0:
@@ -219,11 +205,10 @@ class MultiPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
+        q = _coerce(other)
+        if q is NotImplemented:
             return NotImplemented
-        return self._d == other._d and self._t == other._t
+        return self._d == q._d and self._t == q._t
 
     def __hash__(self) -> int:
         return hash((self._d, frozenset(self._t.items())))
@@ -325,8 +310,19 @@ def _reduced(terms: dict[int, int], d: int, deg: int) -> MultiPoly:
     return _raw(terms, d, deg)
 
 
+def _coerce(x) -> MultiPoly:
+    """The one scalar rule: an int, a Fraction or a MultiPoly as a
+    MultiPoly, and NotImplemented for anything else (a float, say)."""
+    if isinstance(x, MultiPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)  # redundant, but faster passes trip perfbench fault (b), ROADMAP item 1
+        return _raw({0: x.numerator} if x else {}, x.denominator, 0)
+    return NotImplemented  # type: ignore[return-value]
+
+
 def _as_poly(x, routine: str) -> MultiPoly:
-    p = MultiPoly._coerce(x)
+    p = _coerce(x)
     if p is NotImplemented:
         raise TypeError(f"{routine}: expected an int, a Fraction or a MultiPoly, "
                         f"got {type(x).__name__}")
@@ -384,9 +380,7 @@ def binom_poly(upper: MultiPoly | Scalar, k: int) -> MultiPoly:
     up = _as_poly(upper, "binom_poly")
     if k < 0:
         return MultiPoly.zero()
-    prod = MultiPoly.constant(1)
-    for i in range(k):
-        prod = prod * (up - i)
+    prod = math.prod((up - i for i in range(k)), start=MultiPoly.constant(1))
     return prod * Fraction(1, math.factorial(k))
 
 

@@ -96,6 +96,12 @@ def test_uncoercible_arguments_are_rejected_by_name():
         euler_poly_shifted(2, 0.5)
     with pytest.raises(TypeError, match="composition_sum.*float"):
         composition_sum([[X, 1.5]], 1)
+    with pytest.raises(TypeError, match="float"):
+        MultiPoly({(): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        MultiPoly({(("x", 1),): 1.5})
+    with pytest.raises(TypeError, match="float"):
+        MultiPoly.constant(0.5)
 
 
 # -- the integer kernel ------------------------------------------------------
@@ -135,6 +141,8 @@ def test_exponent_overflow_raises():
             top * factor
     with pytest.raises(OverflowError):
         MultiPoly({(("x", 65536),): 1})
+    with pytest.raises(OverflowError):
+        MultiPoly({(("x", 40000), ("y", 40000)): 1})
 
 
 def test_concurrent_interning_gives_one_slot_per_name():
