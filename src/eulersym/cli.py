@@ -94,6 +94,8 @@ def cmd_numbers(args: argparse.Namespace) -> int:
 def cmd_poly(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("--n must be >= 0")
+    if not args.var.isidentifier():
+        raise UsageError(f"--var must be an identifier, got {args.var!r}")
     build = {"bernoulli": bernoulli_poly, "euler": euler_poly}[args.family]
     poly = str(build(args.n, args.var))
     row = {"family": args.family, "n": args.n, "poly": poly}

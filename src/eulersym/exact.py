@@ -29,6 +29,9 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def random_rational(rng: random.Random, max_num: int = 20, max_den: int = 20) -> Fraction:
-    """Small random rational: |numerator| <= max_num, denominator <= max_den."""
-    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+RANDOM_BOUND = 20  # bounds |numerator| and denominator of a random rational
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """Small random rational: |numerator| and denominator at most RANDOM_BOUND."""
+    return Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND), rng.randint(1, RANDOM_BOUND))

@@ -12,9 +12,9 @@ monomials is their sum. Each polynomial carries an upper bound on its total
 degree; a product (the constructor forms one per term) whose bound would
 reach 2^16 raises OverflowError rather than carry a field into its neighbour.
 
-`terms` is a read-only view of the same polynomial as a map from canonical
-monomials, sorted tuples of (variable name, positive exponent) pairs, to
-nonzero Fraction coefficients.
+`terms` is a read-only snapshot of the same polynomial as a map from
+canonical monomials, sorted tuples of (variable name, positive exponent)
+pairs, to nonzero Fraction coefficients, built on each access.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence, Union
 
 from eulersym.exact import format_fraction
@@ -85,27 +86,6 @@ def _unpack(packed: int) -> Monomial:
     return tuple(out)
 
 
-class _Terms(Mapping):
-    """The read-only view MultiPoly.terms: canonical monomial -> Fraction."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: "MultiPoly"):
-        self._p = p
-
-    def __getitem__(self, mono: Monomial) -> Fraction:
-        c = self._p._t.get(_pack(mono)[0])
-        if c is None:
-            raise KeyError(mono)
-        return Fraction(c, self._p._d)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(_unpack, self._p._t)
-
-    def __len__(self) -> int:
-        return len(self._p._t)
-
-
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -139,7 +119,7 @@ class MultiPoly:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        return _Terms(self)
+        return MappingProxyType({_unpack(m): Fraction(c, self._d) for m, c in self._t.items()})
 
     # -- ring structure ----------------------------------------------------
 
@@ -211,6 +191,8 @@ class MultiPoly:
         return self._d == q._d and self._t == q._t
 
     def __hash__(self) -> int:
+        if self._t.keys() <= {0}:  # a constant hashes as its Fraction, which it equals
+            return hash(self.constant_term())
         return hash((self._d, frozenset(self._t.items())))
 
     # -- queries -----------------------------------------------------------
@@ -257,7 +239,10 @@ class MultiPoly:
             for var, e in mono:
                 if var not in assignment:
                     raise KeyError(f"no value assigned to variable {var!r}")
-                val *= Fraction(assignment[var]) ** e
+                x = _as_poly(assignment[var], "evaluate")
+                if not x._t.keys() <= {0}:
+                    raise TypeError(f"evaluate: the value of {var!r} is not a constant")
+                val *= x.constant_term() ** e
             total += val
         return total
 

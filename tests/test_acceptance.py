@@ -118,7 +118,7 @@ def test_criterion_07_lemma21():
     for seed in range(200):
         rng = random.Random(seed)
         m = 2 + seed % 4  # m in 2..5, both parities
-        polys = [random_one_var_poly(rng, max_degree=4, bound=20) for _ in range(m)]
+        polys = [random_one_var_poly(rng, max_degree=4) for _ in range(m)]
         parities_seen.add(m % 2)
         ok = ok and lemma21_residual(polys).is_zero()
     ok = ok and parities_seen == {0, 1}

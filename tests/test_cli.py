@@ -70,6 +70,7 @@ def test_poly_golden_outputs(capsys):
     assert run_cli(capsys, "poly", "euler", "--n", "2")[1].strip() == "x^2 - x"
     assert run_cli(capsys, "poly", "bernoulli", "--n", "0")[1].strip() == "1"
     assert run_cli(capsys, "poly", "bernoulli", "--n", "2")[1].strip() == "x^2 - x + 1/6"
+    assert run_cli(capsys, "poly", "euler", "--n", "2", "--var", "t_1")[1].strip() == "t_1^2 - t_1"
 
 
 def test_poly_deterministic_across_runs(capsys):
@@ -81,6 +82,14 @@ def test_poly_deterministic_across_runs(capsys):
 def test_poly_negative_degree(capsys):
     code, _, err = run_cli(capsys, "poly", "euler", "--n", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["", "2", "x y"])
+def test_poly_var_must_be_an_identifier(capsys, name):
+    code, out, err = run_cli(capsys, "poly", "bernoulli", "--n", "2", "--var", name)
+    assert code == 2
+    assert out == ""
+    assert "--var" in err
 
 
 # -- verify ----------------------------------------------------------------

@@ -102,6 +102,10 @@ def test_uncoercible_arguments_are_rejected_by_name():
         MultiPoly({(("x", 1),): 1.5})
     with pytest.raises(TypeError, match="float"):
         MultiPoly.constant(0.5)
+    with pytest.raises(TypeError, match="evaluate.*float"):
+        X.evaluate({"x": 0.1})
+    with pytest.raises(TypeError, match="evaluate.*str"):
+        X.evaluate({"x": "1/3"})
 
 
 # -- the integer kernel ------------------------------------------------------
@@ -131,6 +135,12 @@ def test_terms_view_is_read_only():
     with pytest.raises(TypeError):
         p.terms[(("y", 1),)] = Fraction(1)
     assert p == X + 1
+
+
+def test_terms_lookups_see_only_canonical_monomials():
+    assert (("x", 1), ("x", 1)) not in (X * X).terms
+    assert X.terms.get((("x", 70000),)) is None
+    assert X.terms.get((("x", -1),)) is None
 
 
 def test_exponent_overflow_raises():
@@ -254,6 +264,9 @@ def test_evaluate_examples():
     assert MultiPoly.zero().evaluate({}) == 0
     r = MultiPoly.variable("r")
     assert ((r**2 - r) / 2).evaluate({"r": Fraction(1, 2)}) == Fraction(-1, 8)
+    assert (X**2 - X).evaluate({"x": MultiPoly.constant(3)}) == 6
+    with pytest.raises(TypeError, match="evaluate.*'x' is not a constant"):
+        X.evaluate({"x": Y})
 
 
 def test_evaluate_missing_variable_is_named():
@@ -385,3 +398,11 @@ def test_hash_consistent_with_equality():
     q = X**2 - 1
     assert p == q
     assert hash(p) == hash(q)
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 2), 0])
+def test_constant_hashes_as_the_scalar_it_equals(c):
+    for p in (MultiPoly.constant(c), (X + c) - X):
+        assert p == c
+        assert hash(p) == hash(c)
+        assert len({p, c}) == 1
