@@ -2,7 +2,7 @@
 identity verification with machine-readable reports.
 
 Exit codes: 0 all verified / output produced, 1 at least one identity
-failed, 2 usage or spec error.
+failed, 2 usage or spec error or a failed write of the output.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-class UsageError(Exception):
-    pass
-
-
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
 
 def _spec_label(spec: IdentitySpec) -> str:
     where = f"{spec.identity}" + (f" m={spec.m}" if spec.m is not None else "")
@@ -60,12 +49,13 @@ def _report_line(report: IdentityReport) -> str:
     )
 
 
-def _render(rows: list[dict], fmt: str, text: str, single: bool = False) -> str:
-    """The rows as JSON (the first row alone if single) or as CSV with a
-    header from their keys and nested objects as JSON cells; `text` as is."""
+def _render(rows: dict | list[dict], fmt: str, text: str) -> str:
+    """`rows` (one row or a list of them) as JSON, or as CSV with a header
+    from their keys and nested objects as JSON cells; `text` as is."""
     if fmt == "json":
-        return json.dumps(rows[0] if single else rows, indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
+        rows = [rows] if isinstance(rows, dict) else rows
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -76,49 +66,46 @@ def _render(rows: list[dict], fmt: str, text: str, single: bool = False) -> str:
 
 
 # -- subcommands -----------------------------------------------------------
+# Each returns (rows, text, exit code); `main` renders and writes them.
 
 
-def cmd_numbers(args: argparse.Namespace) -> int:
+def cmd_numbers(args: argparse.Namespace) -> tuple[list[dict], str, int]:
     kind = args.kind
     upto = args.upto
     start = 1 if kind == "btilde" else 0
     if upto < start:
-        raise UsageError(f"--upto must be >= {start} for {kind}")
+        raise ValueError(f"--upto must be >= {start} for {kind}")
     fetch = {"bernoulli": bernoulli_number, "euler": euler_number, "btilde": b_tilde}[kind]
     rows = [{"k": k, "value": format_fraction(fetch(k))} for k in range(start, upto + 1)]
-    text = "".join(f"{row['k']}\t{row['value']}\n" for row in rows)
-    _write_output(_render(rows, args.format, text), args.out)
-    return EXIT_OK
+    return rows, "".join(f"{row['k']}\t{row['value']}\n" for row in rows), EXIT_OK
 
 
-def cmd_poly(args: argparse.Namespace) -> int:
+def cmd_poly(args: argparse.Namespace) -> tuple[dict, str, int]:
     if args.n < 0:
-        raise UsageError("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     if not args.var.isidentifier():
-        raise UsageError(f"--var must be an identifier, got {args.var!r}")
+        raise ValueError(f"--var must be an identifier, got {args.var!r}")
     build = {"bernoulli": bernoulli_poly, "euler": euler_poly}[args.family]
     poly = str(build(args.n, args.var))
-    row = {"family": args.family, "n": args.n, "poly": poly}
-    _write_output(_render([row], args.format, poly + "\n", single=True), args.out)
-    return EXIT_OK
+    return {"family": args.family, "n": args.n, "poly": poly}, poly + "\n", EXIT_OK
 
 
 def _parse_params(pairs: list[str]) -> dict[str, Fraction]:
     params: dict[str, Fraction] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise UsageError(f"--param expects name=p/q, got {pair!r}")
+            raise ValueError(f"--param expects name=p/q, got {pair!r}")
         name, _, value = pair.partition("=")
         if name.strip() in params:
-            raise UsageError(f"--param {name.strip()!r} is given twice")
+            raise ValueError(f"--param {name.strip()!r} is given twice")
         try:
             params[name.strip()] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad fraction in --param {pair!r}: {exc}") from exc
+            raise ValueError(f"bad fraction in --param {pair!r}: {exc}") from exc
     return params
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
     spec = IdentitySpec(
         identity=args.identity,
         n=args.n,
@@ -128,13 +115,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         params=_parse_params(args.param) or None,
         seed=args.seed,
     )
-    try:
-        report = verify(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    text = _report_line(report) + "\n"
-    _write_output(_render([report.to_json_dict()], args.format, text, single=True), args.out)
-    return EXIT_OK if report.holds else EXIT_FAILED
+    report = verify(spec)
+    code = EXIT_OK if report.holds else EXIT_FAILED
+    return report.to_json_dict(), _report_line(report) + "\n", code
 
 
 def _verify_or_fail(spec: IdentitySpec) -> IdentityReport:
@@ -149,15 +132,14 @@ def _verify_or_fail(spec: IdentitySpec) -> IdentityReport:
         return IdentityReport(spec, False, 0, 0, 0, elapsed_ms)
 
 
-def cmd_verify_all(args: argparse.Namespace) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> tuple[list[dict], str, int]:
     if args.max_m < 1 or args.max_n < 1:
-        raise UsageError("--max-m and --max-n must be >= 1")
+        raise ValueError("--max-m and --max-n must be >= 1")
     reports = [_verify_or_fail(spec) for spec in enumerate_specs(args.max_m, args.max_n, args.seed)]
     failed = sum(1 for r in reports if not r.holds)
     text = "".join(_report_line(r) + "\n" for r in reports)
     text += f"total={len(reports)} failed={failed}\n"
-    _write_output(_render([r.to_json_dict() for r in reports], args.format, text), args.out)
-    return EXIT_FAILED if failed else EXIT_OK
+    return [r.to_json_dict() for r in reports], text, EXIT_FAILED if failed else EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
@@ -216,13 +198,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its rendered rows. Bad input and a failed
+    write exit EXIT_USAGE with one `error:` line; anything else propagates."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
+        rows, text, code = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    output = _render(rows, args.format, text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

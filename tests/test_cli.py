@@ -2,6 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -298,3 +303,85 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["holds"] is True
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numbers", "bernoulli", "--upto", "3"],
+        ["poly", "euler", "--n", "2"],
+        ["verify", "--identity", "chu_vandermonde", "--n", "2"],
+        ["verify-all", "--max-m", "1", "--max-n", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- output bytes ----------------------------------------------------------
+
+GOLDEN = {
+    ("numbers bernoulli --upto 3", "text"): "0\t1\n1\t-1/2\n2\t1/6\n3\t0\n",
+    ("numbers bernoulli --upto 3", "json"): (
+        '[\n  {\n    "k": 0,\n    "value": "1"\n  },\n  {\n    "k": 1,\n    "value": "-1/2"\n'
+        '  },\n  {\n    "k": 2,\n    "value": "1/6"\n  },\n  {\n    "k": 3,\n    "value": "0"\n'
+        "  }\n]\n"
+    ),
+    ("numbers bernoulli --upto 3", "csv"): "k,value\r\n0,1\r\n1,-1/2\r\n2,1/6\r\n3,0\r\n",
+    ("poly euler --n 2", "text"): "x^2 - x\n",
+    ("poly euler --n 2", "json"): '{\n  "family": "euler",\n  "n": 2,\n  "poly": "x^2 - x"\n}\n',
+    ("poly euler --n 2", "csv"): "family,n,poly\r\neuler,2,x^2 - x\r\n",
+    ("verify --identity chu_vandermonde --n 2", "text"): (
+        "PASS chu_vandermonde n=2 mode=symbolic lhs_terms=5 rhs_terms=5 residual_terms=0"
+        " elapsed_ms=0.0\n"
+    ),
+    ("verify --identity chu_vandermonde --n 2", "json"): (
+        '{\n  "identity": "chu_vandermonde",\n  "m": null,\n  "n": 2,\n  "mode": "symbolic",\n'
+        '  "holds": true,\n  "lhs_terms": 5,\n  "rhs_terms": 5,\n  "residual_terms": 0,\n'
+        '  "elapsed_ms": 0.0,\n  "params": null\n}\n'
+    ),
+    ("verify --identity chu_vandermonde --n 2", "csv"): (
+        "identity,m,n,mode,holds,lhs_terms,rhs_terms,residual_terms,elapsed_ms,params\r\n"
+        "chu_vandermonde,,2,symbolic,True,5,5,0,0.0,\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN))
+def test_output_bytes(monkeypatch, capsys, command, fmt):
+    monkeypatch.setattr(identities, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert (code, out, err) == (0, GOLDEN[command, fmt], "")
+
+
+# -- entry point -----------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "eulersym.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    verify = ["verify", "--identity", "thm12", "--m", "2", "--n"]
+    passed = run_module(*verify, "2")
+    assert passed.returncode == 0 and passed.stdout.startswith("PASS")
+    bad_n = run_module(*verify, "0")
+    assert bad_n.returncode == 2 and bad_n.stderr.startswith("error:")
+    unwritable = run_module(*verify, "2", "--out", str(tmp_path))
+    assert unwritable.returncode == 2 and unwritable.stdout == ""
+    assert unwritable.stderr.startswith("error:") and "Traceback" not in unwritable.stderr
