@@ -2,7 +2,7 @@
 identity verification with machine-readable reports.
 
 Exit codes: 0 all verified / output produced, 1 at least one identity
-failed, 2 usage or spec error or a failed write of the output.
+failed, 2 usage or spec error, or an output that cannot be opened or written.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import io
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
-from eulersym.exact import format_fraction
 from eulersym.identities import (
     IDENTITIES,
     IdentityReport,
@@ -49,6 +49,25 @@ def _report_line(report: IdentityReport) -> str:
     )
 
 
+def _report_row(report: IdentityReport) -> dict:
+    """One report in the flat JSON/CSV schema; `params` maps each drawn
+    name to its 'p/q' value in numeric mode, else is null."""
+    spec = report.spec
+    params = report.params_used
+    return {
+        "identity": spec.identity,
+        "m": spec.m,
+        "n": spec.n,
+        "mode": spec.mode,
+        "holds": report.holds,
+        "lhs_terms": report.lhs_terms,
+        "rhs_terms": report.rhs_terms,
+        "residual_terms": report.residual_terms,
+        "elapsed_ms": report.elapsed_ms,
+        "params": {k: str(v) for k, v in params.items()} if params else None,
+    }
+
+
 def _render(rows: dict | list[dict], fmt: str, text: str) -> str:
     """`rows` (one row or a list of them) as JSON, or as CSV with a header
     from their keys and nested objects as JSON cells; `text` as is."""
@@ -76,7 +95,7 @@ def cmd_numbers(args: argparse.Namespace) -> tuple[list[dict], str, int]:
     if upto < start:
         raise ValueError(f"--upto must be >= {start} for {kind}")
     fetch = {"bernoulli": bernoulli_number, "euler": euler_number, "btilde": b_tilde}[kind]
-    rows = [{"k": k, "value": format_fraction(fetch(k))} for k in range(start, upto + 1)]
+    rows = [{"k": k, "value": str(fetch(k))} for k in range(start, upto + 1)]
     return rows, "".join(f"{row['k']}\t{row['value']}\n" for row in rows), EXIT_OK
 
 
@@ -117,7 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, str, int]:
     )
     report = verify(spec)
     code = EXIT_OK if report.holds else EXIT_FAILED
-    return report.to_json_dict(), _report_line(report) + "\n", code
+    return _report_row(report), _report_line(report) + "\n", code
 
 
 def _verify_or_fail(spec: IdentitySpec) -> IdentityReport:
@@ -139,7 +158,7 @@ def cmd_verify_all(args: argparse.Namespace) -> tuple[list[dict], str, int]:
     failed = sum(1 for r in reports if not r.holds)
     text = "".join(_report_line(r) + "\n" for r in reports)
     text += f"total={len(reports)} failed={failed}\n"
-    return [r.to_json_dict() for r in reports], text, EXIT_FAILED if failed else EXIT_OK
+    return [_report_row(r) for r in reports], text, EXIT_FAILED if failed else EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
@@ -198,21 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and write its rendered rows. Bad input and a failed
-    write exit EXIT_USAGE with one `error:` line; anything else propagates."""
+    """Open the destination (`--out` like a shell `> PATH`, else stdout),
+    run one subcommand and write its rendered rows once. An OSError from
+    opening or writing the destination and a ValueError from the subcommand
+    exit EXIT_USAGE with one `error:` line; anything else propagates."""
     args = build_parser().parse_args(argv)
     try:
-        rows, text, code = args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    output = _render(rows, args.format, text)
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
-        else:
-            sys.stdout.write(output)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+            try:
+                rows, text, code = args.func(args)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            out.write(_render(rows, args.format, text))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,9 @@
 """Exact integer/rational kernel.
 
 Python ints and fractions.Fraction already give unbounded, eagerly
-normalized exact arithmetic, so this module only adds the binomial
-coefficient with the k < 0 convention and a few fraction helpers shared
-by the CLI and the numeric sampler.
+normalized exact arithmetic, and `str` of a Fraction already reads
+'p' or 'p/q', so this module only adds the binomial coefficient with the
+k < 0 convention and the random rationals of the numeric sampler.
 """
 
 from __future__ import annotations
@@ -20,13 +20,6 @@ def binom_int(a: int, k: int) -> int:
     if k < 0 or k > a:
         return 0
     return math.comb(a, k)
-
-
-def format_fraction(q: Fraction) -> str:
-    """Render exactly as 'p' or 'p/q'; never a float."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 RANDOM_BOUND = 20  # bounds |numerator| and denominator of a random rational

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from eulersym.exact import format_fraction, random_rational
+from eulersym.exact import random_rational
 from eulersym.mpoly import (
     MultiPoly,
     binom_poly,
@@ -88,24 +88,6 @@ class IdentityReport:
     elapsed_ms: float
     residual_sample: str | None = None  # lhs - rhs when nonzero; in numeric mode a number
     params_used: dict[str, Fraction] | None = None  # numeric mode: the sample point
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.spec.identity,
-            "m": self.spec.m,
-            "n": self.spec.n,
-            "mode": self.spec.mode,
-            "holds": self.holds,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "residual_terms": self.residual_terms,
-            "elapsed_ms": self.elapsed_ms,
-            "params": (
-                {k: format_fraction(v) for k, v in self.params_used.items()}
-                if self.params_used
-                else None
-            ),
-        }
 
 
 # -- Theorem on products of Euler polynomials (m parameters) ----------------

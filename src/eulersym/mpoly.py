@@ -29,8 +29,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence, Union
 
-from eulersym.exact import format_fraction
-
 Monomial = tuple[tuple[str, int], ...]
 Composition = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -263,11 +261,11 @@ class MultiPoly:
             mag = -coef if neg else coef
             factors = [f"{var}^{e}" if e > 1 else var for var, e in mono]
             if not factors:
-                body = format_fraction(mag)
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([format_fraction(mag)] + factors)
+                body = "*".join([str(mag)] + factors)
             if idx == 0:
                 pieces.append(f"-{body}" if neg else body)
             else:

@@ -305,17 +305,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["holds"] is True
 
 
+UNWRITABLE_ARGV = [
+    ["numbers", "bernoulli", "--upto", "3"],
+    ["poly", "euler", "--n", "2"],
+    ["verify", "--identity", "chu_vandermonde", "--n", "2"],
+    ["verify-all", "--max-m", "1", "--max-n", "1"],
+]
+
+
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["numbers", "bernoulli", "--upto", "3"],
-        ["poly", "euler", "--n", "2"],
-        ["verify", "--identity", "chu_vandermonde", "--n", "2"],
-        ["verify-all", "--max-m", "1", "--max-n", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", UNWRITABLE_ARGV, ids=lambda argv: argv[0])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
     target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
@@ -324,8 +323,32 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, where):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", UNWRITABLE_ARGV, ids=lambda argv: argv[0])
+def test_unwritable_out_never_runs_the_command(tmp_path, monkeypatch, capsys, argv):
+    called = []
+    for name in ("cmd_numbers", "cmd_poly", "cmd_verify", "cmd_verify_all"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or ({}, "", 0))
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert called == []
+
+
+def test_usage_error_leaves_out_empty(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", "thm12", "--m", "2", "--n", "0", "--out", str(target)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert target.read_text() == ""
+
+
 # -- output bytes ----------------------------------------------------------
 
+PARAMS_COMMAND = (
+    "verify --identity thm11_part2 --n 2 --mode numeric"
+    " --param x=1/2 --param y=1/3 --param r=-2 --param s=-1/5"
+)
 GOLDEN = {
     ("numbers bernoulli --upto 3", "text"): "0\t1\n1\t-1/2\n2\t1/6\n3\t0\n",
     ("numbers bernoulli --upto 3", "json"): (
@@ -349,6 +372,21 @@ GOLDEN = {
     ("verify --identity chu_vandermonde --n 2", "csv"): (
         "identity,m,n,mode,holds,lhs_terms,rhs_terms,residual_terms,elapsed_ms,params\r\n"
         "chu_vandermonde,,2,symbolic,True,5,5,0,0.0,\r\n"
+    ),
+    (PARAMS_COMMAND, "text"): (
+        "PASS thm11_part2 n=2 mode=numeric lhs_terms=1 rhs_terms=1 residual_terms=0"
+        " elapsed_ms=0.0\n"
+    ),
+    (PARAMS_COMMAND, "json"): (
+        '{\n  "identity": "thm11_part2",\n  "m": null,\n  "n": 2,\n  "mode": "numeric",\n'
+        '  "holds": true,\n  "lhs_terms": 1,\n  "rhs_terms": 1,\n  "residual_terms": 0,\n'
+        '  "elapsed_ms": 0.0,\n  "params": {\n    "x": "1/2",\n    "y": "1/3",\n    "r": "-2",\n'
+        '    "s": "-1/5"\n  }\n}\n'
+    ),
+    (PARAMS_COMMAND, "csv"): (
+        "identity,m,n,mode,holds,lhs_terms,rhs_terms,residual_terms,elapsed_ms,params\r\n"
+        'thm11_part2,,2,numeric,True,1,1,0,0.0,"{""x"": ""1/2"", ""y"": ""1/3"", ""r"": ""-2"",'
+        ' ""s"": ""-1/5""}"\r\n'
     ),
 }
 

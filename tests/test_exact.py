@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from eulersym.exact import binom_int, format_fraction, random_rational
+from eulersym.exact import binom_int, random_rational
 from tests.conftest import small_fractions
 
 
@@ -52,13 +52,6 @@ def test_rational_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-
-
-def test_format_and_parse_roundtrip():
-    for q in (Fraction(0), Fraction(3), Fraction(-1, 2), Fraction(22, 7)):
-        assert Fraction(format_fraction(q)) == q
-    assert format_fraction(Fraction(1, 6)) == "1/6"
-    assert format_fraction(Fraction(-2)) == "-2"
 
 
 def test_random_rational_bounds(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import eulersym.identities as identities
-from eulersym.exact import format_fraction, random_rational
+from eulersym.exact import random_rational
 from eulersym.identities import (
     IDENTITIES,
     IdentitySpec,
@@ -411,7 +411,7 @@ def test_numeric_residual_is_the_exact_value(monkeypatch):
     lhs, rhs = identities.thm12_sides(2, 3)
     point = report.params_used
     assert not report.holds
-    assert report.residual_sample == format_fraction(lhs.evaluate(point) - rhs.evaluate(point))
+    assert report.residual_sample == str(lhs.evaluate(point) - rhs.evaluate(point))
     assert report.residual_terms == 1
     assert report.lhs_terms <= 1 and report.rhs_terms <= 1
 
