@@ -86,8 +86,13 @@ class IdentityReport:
     rhs_terms: int
     residual_terms: int
     elapsed_ms: float
-    residual_sample: str | None = None  # lhs - rhs when nonzero; in numeric mode a number
+    residual: MultiPoly | None = None  # lhs - rhs; in numeric mode a constant
     params_used: dict[str, Fraction] | None = None  # numeric mode: the sample point
+
+    @property
+    def residual_sample(self) -> str | None:
+        """The residual as text when it is nonzero, rendered on each read."""
+        return str(self.residual) if self.residual else None
 
 
 # -- Theorem on products of Euler polynomials (m parameters) ----------------
@@ -418,7 +423,7 @@ def verify(spec: IdentitySpec) -> IdentityReport:
         rhs_terms=len(rhs),
         residual_terms=len(residual),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        residual_sample=str(residual) if residual else None,
+        residual=residual,
         params_used={v: c.constant_term() for v, c in point.items()} or None,
     )
 

@@ -386,7 +386,9 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
     """The sum of p * q over the pairs, collected into one term map.
 
     Every product is taken over the lcm of the pairs' p._d * q._d, so the
-    inner loop adds and multiplies ints only; the result is reduced once."""
+    inner loop adds and multiplies ints only; the result is reduced once.
+    A first pair that is a constant times a polynomial of several terms
+    fills the empty map with a copy of the polynomial's scaled numerators."""
     pairs = [(p, q) for p, q in pairs if p._t and q._t]
     d, deg = 1, 0
     for p, q in pairs:
@@ -395,29 +397,35 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
             raise OverflowError(f"a product of total degree up to {bound} is not below {_LIMIT}")
         d, deg = math.lcm(d, p._d * q._d), max(deg, bound)
     terms: dict[int, int] = {}
-    get = terms.get
     for p, q in pairs:
         scale = d // (p._d * q._d)
+        if not terms and len(q._t) > 1 and p._t.keys() == {0}:  # a constant times q: a copy
+            c1 = p._t[0] * scale
+            terms = dict(q._t) if c1 == 1 else {m: c1 * c2 for m, c2 in q._t.items()}
+            continue
+        get = terms.get
         right = q._t.items()
         for m1, c1 in p._t.items():
             c1 *= scale
             for m2, c2 in right:
                 m = m1 + m2
                 terms[m] = get(m, 0) + c1 * c2
-    if 0 in terms.values():  # a scan is cheaper than a copy where nothing cancelled
-        terms = {m: c for m, c in terms.items() if c}
+    if 0 in terms.values():  # a scan is cheaper than a walk where nothing cancelled
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
     return _reduced(terms, d, deg)
 
 
 def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
     """sum_e coeffs[e] * arg^e, expanded: one power table and one
-    sum_of_products, with the zero coefficients skipped."""
+    sum_of_products, with the zero coefficients skipped. The top power
+    goes first, so the largest product is the one that can seed the sum."""
     arg = _as_poly(arg, "polyval")
     coeffs = [_as_poly(c, "polyval") for c in coeffs]
     powers = [MultiPoly.constant(1)]
     for _ in range(len(coeffs) - 1):
         powers.append(powers[-1] * arg)
-    return sum_of_products((c, p) for c, p in zip(coeffs, powers) if c)
+    return sum_of_products((c, p) for c, p in zip(coeffs[::-1], powers[::-1]) if c)
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:

@@ -59,3 +59,9 @@ def test_random_rational_bounds(rng):
         q = random_rational(rng)
         assert abs(q.numerator) <= 20
         assert q.denominator <= 20
+
+
+def test_random_rational_pinned_draws(rng):
+    draws = [random_rational(rng) for _ in range(8)]
+    assert draws == [Fraction(6), Fraction(-1, 12), Fraction(-8, 9), Fraction(8, 7),
+                     Fraction(-5, 6), Fraction(-13, 14), Fraction(-2, 9), Fraction(10, 3)]

@@ -416,6 +416,23 @@ def test_numeric_residual_is_the_exact_value(monkeypatch):
     assert report.lhs_terms <= 1 and report.rhs_terms <= 1
 
 
+def test_residual_terms_count_the_residual(monkeypatch):
+    # Unlike a sign flip's 2*lhs, lhs - (rhs + 1) = -1 has fewer terms than lhs.
+    real = identities.thm12_sides
+
+    def off_by_one(m, n):
+        lhs, rhs = real(m, n)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(identities, "thm12_sides", off_by_one)
+    report = verify(IdentitySpec("thm12", n=3, m=2))
+    lhs, rhs = off_by_one(2, 3)
+    assert not report.holds
+    assert report.residual == lhs - rhs
+    assert report.residual_terms == len(lhs - rhs) == 1 < report.lhs_terms
+    assert report.residual_sample == "-1"
+
+
 @pytest.mark.parametrize("identity", list(IDENTITIES))
 def test_registry_entry_verifies_at_smallest_spec(identity):
     entry = IDENTITIES[identity]

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -20,7 +21,7 @@ from eulersym.mpoly import (
     sum_of_products,
 )
 from eulersym.polyfam import bernoulli_poly, euler_poly, euler_poly_shifted
-from tests.conftest import multipolys, one_var_polys, to_sympy
+from tests.conftest import multipolys, one_var_polys, small_fractions, to_sympy
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -59,9 +60,37 @@ def test_multiplication_against_sympy(p, q):
 
 
 @settings(max_examples=40)
-@given(multipolys(), multipolys(), multipolys())
-def test_sum_of_products_is_the_sum(p, q, r):
-    assert sum_of_products([(p, q), (q, r), (r, -p)]) == p * q + q * r - r * p
+@given(small_fractions, multipolys(), multipolys(), multipolys())
+def test_sum_of_products_is_the_sum(c, p, q, r):
+    # The same sums with and without a leading constant pair, which seeds the map.
+    for pairs in ([(p, q), (q, r), (r, -p)],
+                  [(MultiPoly.constant(c), q), (p, q), (q, r), (r, -p)]):
+        expected = sympy.expand(sum(to_sympy(a) * to_sympy(b) for a, b in pairs))
+        assert to_sympy(sum_of_products(pairs)) == expected
+
+
+C = MultiPoly.constant
+# name -> pairs whose sum checks one part of the kernel
+KERNEL_CASES = {
+    "unit seed": [(C(1), X + Y), (X, Y)],
+    "scaled seed": [(C(Fraction(1, 2)), X + Y), (C(Fraction(1, 3)), X * Y)],
+    "negative seed": [(C(Fraction(-1, 2)), X + Y), (X, Y / 3)],
+    "some terms cancel": [(C(1), X + Y), (C(-1), Y + X * Y)],
+    "every term cancels": [(C(2), X + Y), (X + Y, C(-2))],
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_sum_of_products_kernel_cases(case):
+    pairs = KERNEL_CASES[case]
+    before = [(dict(p._t), p._d, dict(q._t), q._d) for p, q in pairs]
+    s = sum_of_products(pairs)
+    assert to_sympy(s) == sympy.expand(sum(to_sympy(p) * to_sympy(q) for p, q in pairs))
+    assert all(s._t.values()), "a cancelled term is stored"
+    assert math.gcd(s._d, *s._t.values()) == 1
+    assert [(p._t, p._d, q._t, q._d) for p, q in pairs] == before, "an operand changed"
+    if case == "every term cancels":
+        assert s == MultiPoly.zero()
 
 
 def test_unsupported_operand_raises_type_error():
@@ -109,6 +138,11 @@ def test_uncoercible_arguments_are_rejected_by_name():
 
 
 # -- the integer kernel ------------------------------------------------------
+
+
+def test_equality_sees_every_coefficient():
+    assert X / 2 != X
+    assert X + 2 * Y != X + Y
 
 
 def test_equal_polynomials_share_one_reduced_form():
