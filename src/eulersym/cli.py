@@ -148,7 +148,7 @@ def _verify_or_fail(spec: IdentitySpec) -> IdentityReport:
     except Exception as exc:
         print(f"error: {_spec_label(spec)}: {type(exc).__name__}: {exc}", file=sys.stderr)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return IdentityReport(spec, False, 0, 0, 0, elapsed_ms)
+        return IdentityReport(spec, 0, 0, elapsed_ms)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> tuple[list[dict], str, int]:

@@ -14,12 +14,8 @@ from fractions import Fraction
 
 
 def binom_int(a: int, k: int) -> int:
-    """Binomial coefficient C(a, k) for a >= 0; zero when k < 0 or k > a."""
-    if a < 0:
-        raise ValueError(f"binom_int requires a >= 0, got a={a}")
-    if k < 0 or k > a:
-        return 0
-    return math.comb(a, k)
+    """C(a, k) for a >= 0 (math.comb raises ValueError for a < 0); zero when k < 0 or k > a."""
+    return math.comb(a, k) if k >= 0 else 0
 
 
 RANDOM_BOUND = 20  # bounds |numerator| and denominator of a random rational

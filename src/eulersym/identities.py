@@ -81,18 +81,21 @@ class IdentityReport:
     """Outcome of one verification run."""
 
     spec: IdentitySpec
-    holds: bool
     lhs_terms: int
     rhs_terms: int
-    residual_terms: int
     elapsed_ms: float
-    residual: MultiPoly | None = None  # lhs - rhs; in numeric mode a constant
+    residual: MultiPoly | None = None  # lhs - rhs, None if not built; numeric: a constant
     params_used: dict[str, Fraction] | None = None  # numeric mode: the sample point
 
     @property
-    def residual_sample(self) -> str | None:
-        """The residual as text when it is nonzero, rendered on each read."""
-        return str(self.residual) if self.residual else None
+    def holds(self) -> bool:
+        """The verdict, read off the residual: it was built and has no terms."""
+        return self.residual is not None and self.residual.is_zero()
+
+    @property
+    def residual_terms(self) -> int:
+        """The number of terms of the residual; 0 when it was not built."""
+        return len(self.residual or ())
 
 
 # -- Theorem on products of Euler polynomials (m parameters) ----------------
@@ -418,10 +421,8 @@ def verify(spec: IdentitySpec) -> IdentityReport:
     residual = lhs - rhs
     return IdentityReport(
         spec=spec,
-        holds=residual.is_zero(),
         lhs_terms=len(lhs),
         rhs_terms=len(rhs),
-        residual_terms=len(residual),
         elapsed_ms=(time.perf_counter() - start) * 1000.0,
         residual=residual,
         params_used={v: c.constant_term() for v, c in point.items()} or None,

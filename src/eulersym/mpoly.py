@@ -418,14 +418,14 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
 
 def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
     """sum_e coeffs[e] * arg^e, expanded: one power table and one
-    sum_of_products, with the zero coefficients skipped. The top power
+    sum_of_products, which skips the zero coefficients. The top power
     goes first, so the largest product is the one that can seed the sum."""
     arg = _as_poly(arg, "polyval")
     coeffs = [_as_poly(c, "polyval") for c in coeffs]
     powers = [MultiPoly.constant(1)]
     for _ in range(len(coeffs) - 1):
         powers.append(powers[-1] * arg)
-    return sum_of_products((c, p) for c, p in zip(coeffs[::-1], powers[::-1]) if c)
+    return sum_of_products(zip(coeffs[::-1], powers[::-1]))
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:
@@ -433,8 +433,8 @@ def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> 
 
     That is the coefficient of t^n in prod_j (sum_k factors[j][k] t^k), or
     sum_k factors[0][k] * composition_sum(factors[1:], n - k). Each inner sum
-    is built once, from the last factor forwards, as one sum_of_products;
-    zero entries are skipped. Every factor needs the entries 0..n.
+    is built once, from the last factor forwards, as one sum_of_products,
+    which skips the zero entries. Every factor needs the entries 0..n.
     """
     if n < 0 or not factors:
         raise ValueError(f"composition_sum requires n >= 0 and a factor, got n={n}")
@@ -443,7 +443,7 @@ def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> 
         head = [_as_poly(c, "composition_sum") for c in factors[j][: n + 1]]
         # The outermost level needs only the coefficient of t^n.
         series = {
-            t: sum_of_products((head[k], series[t - k]) for k in range(t + 1) if head[k])
+            t: sum_of_products((head[k], series[t - k]) for k in range(t + 1))
             for t in (range(n + 1) if j else (n,))
         }
     return series[n]

@@ -1,26 +1,25 @@
-"""Bernoulli and Euler numbers from their defining recurrences.
+"""Bernoulli numbers from their recurrence, and the numbers built from them.
 
-B_0 = 1 with sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1, and
-E_0 = 1 with sum over k <= n, n - k even, of C(n, k) E_k = 0 for n >= 1.
-Values are cached in monotonically growing tables; extension is batched
-under a lock so readers never observe a partially filled table.
+B_0 = 1 with sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1. Values are cached
+in a monotonically growing table; extension is batched under a lock so
+readers never observe a partially filled table. The Euler numbers are
+values of the Euler polynomials, E_k = 2^k E_k(1/2), so they come from the
+same recurrence through E_l(0).
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from eulersym.exact import binom_int
 
 
 class SequenceTable:
-    """Grow-only cache of one number sequence, extended by a recurrence."""
+    """Grow-only cache of the Bernoulli numbers, extended by their recurrence."""
 
-    def __init__(self, kind: str):
-        if kind not in ("bernoulli", "euler"):
-            raise ValueError(f"unknown sequence kind {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
 
@@ -39,24 +38,14 @@ class SequenceTable:
                 # Extend into a fresh list and swap in atomically.
                 extended = list(self._values)
                 for n in range(len(extended), k + 1):
-                    extended.append(self._next_value(n, extended))
+                    # sum_{j=0}^{n} C(n+1, j) B_j = 0, coefficient of B_n is n+1.
+                    acc = sum((binom_int(n + 1, j) * extended[j] for j in range(n)), Fraction(0))
+                    extended.append(-acc / (n + 1))
                 self._values = extended
             return self._values[k]
 
-    def _next_value(self, n: int, known: list[Fraction]) -> Fraction:
-        if self.kind == "bernoulli":
-            # sum_{k=0}^{n} C(n+1, k) B_k = 0, coefficient of B_n is n+1.
-            acc = sum((binom_int(n + 1, k) * known[k] for k in range(n)), Fraction(0))
-            return -acc / (n + 1)
-        # Euler: sum over k <= n with n - k even; coefficient of E_n is 1.
-        acc = Fraction(0)
-        for k in range(n % 2, n, 2):
-            acc += binom_int(n, k) * known[k]
-        return -acc
 
-
-_BERNOULLI = SequenceTable("bernoulli")
-_EULER = SequenceTable("euler")
+_BERNOULLI = SequenceTable()
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -64,9 +53,12 @@ def bernoulli_number(k: int) -> Fraction:
     return _BERNOULLI.value(k)
 
 
+@lru_cache(maxsize=None)
 def euler_number(k: int) -> Fraction:
-    """Exact Euler number E_k (always integral)."""
-    return _EULER.value(k)
+    """Exact Euler number E_k = 2^k E_k(1/2) = sum_l C(k,l) 2^l E_l(0) (always integral)."""
+    if k < 0:  # the sum below would be empty, not an error
+        raise ValueError(f"sequence index must be >= 0, got {k}")
+    return sum((binom_int(k, l) * 2**l * euler_at_zero(l) for l in range(k + 1)), Fraction(0))
 
 
 def b_tilde(k: int) -> Fraction:

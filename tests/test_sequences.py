@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -91,7 +93,7 @@ def test_bernoulli_poly_at_one_half_reduction():
 
 
 def test_table_monotone_extension():
-    table = SequenceTable("bernoulli")
+    table = SequenceTable()
     assert table.high_water == 0
     table.value(10)
     assert table.high_water >= 10
@@ -100,8 +102,35 @@ def test_table_monotone_extension():
     assert table.high_water == before
 
 
-def test_table_rejects_bad_kind_and_index():
-    with pytest.raises(ValueError):
-        SequenceTable("fibonacci")
+def test_table_rejects_bad_index():
     with pytest.raises(ValueError):
         bernoulli_number(-1)
+    with pytest.raises(ValueError):
+        euler_number(-1)
+
+
+def test_concurrent_extension_matches_sympy():
+    table = SequenceTable()
+    results: list[dict[int, Fraction]] = [{} for _ in range(8)]
+
+    def work(t):
+        # Each thread asks for every eighth index, so the extensions interleave.
+        for k in range(t, 81, 8):
+            results[t][k] = table.value(k)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside an extension too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    values = {k: v for r in results for k, v in r.items()}
+    assert sorted(values) == list(range(81))
+    for k, b in values.items():
+        assert sympy.Rational(b.numerator, b.denominator) == sympy.bernoulli(k, 0)
+    assert table.high_water == 80
