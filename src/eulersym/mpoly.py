@@ -20,12 +20,14 @@ pairs, to nonzero Fraction coefficients, built on each access.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import ChainMap
 from collections.abc import Mapping
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -356,15 +358,20 @@ def delta_star(p: MultiPoly, v: str) -> MultiPoly:
 
 
 def binom_poly(upper: MultiPoly | Scalar, k: int) -> MultiPoly:
-    """Generalized binomial coefficient C(upper, k) as a polynomial.
-
-    upper*(upper-1)*...*(upper-k+1)/k!; equals 1 for k = 0 and 0 for k < 0.
-    """
+    """Generalized binomial coefficient C(upper, k) as a polynomial: the last
+    entry of `binom_row`, so 1 for k = 0, and 0 for k < 0."""
     up = _as_poly(upper, "binom_poly")
-    if k < 0:
-        return MultiPoly.zero()
-    prod = math.prod((up - i for i in range(k)), start=MultiPoly.constant(1))
-    return prod * Fraction(1, math.factorial(k))
+    return binom_row(up, k)[k] if k >= 0 else MultiPoly.zero()
+
+
+def binom_row(upper: MultiPoly | Scalar, n: int) -> list[MultiPoly]:
+    """[C(upper, 0), ..., C(upper, n)] from one running falling factorial,
+    C(upper, k) = C(upper, k-1) * (upper - k + 1) / k: n products in all."""
+    up = _as_poly(upper, "binom_row")
+    if n < 0:
+        raise ValueError(f"binom_row requires n >= 0, got {n}")
+    steps = ((up - k) * Fraction(1, k + 1) for k in range(n))
+    return list(accumulate(steps, operator.mul, initial=MultiPoly.constant(1)))
 
 
 def compositions(n: int, m: int) -> Iterator[Composition]:
@@ -416,16 +423,30 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
     return _reduced(terms, d, deg)
 
 
-def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
-    """sum_e coeffs[e] * arg^e, expanded: one power table and one
-    sum_of_products, which skips the zero coefficients. The top power
-    goes first, so the largest product is the one that can seed the sum."""
+def power_row(arg: MultiPoly | Scalar, n: int) -> list[MultiPoly]:
+    """[arg^0, ..., arg^n], expanded: each power is one product from the last."""
+    arg = _as_poly(arg, "power_row")
+    if n < 0:
+        raise ValueError(f"power_row requires n >= 0, got {n}")
+    return list(accumulate([arg] * n, operator.mul, initial=MultiPoly.constant(1)))
+
+
+def polyvals(
+    rows: Sequence[Sequence[MultiPoly | Scalar]], arg: MultiPoly | Scalar
+) -> list[MultiPoly]:
+    """[sum_e coeffs[e] * arg^e for coeffs in rows], expanded: one power
+    table shared by all rows, and one sum_of_products per row, which skips
+    the zero coefficients. The top power goes first, so the largest product
+    is the one that can seed the sum."""
     arg = _as_poly(arg, "polyval")
-    coeffs = [_as_poly(c, "polyval") for c in coeffs]
-    powers = [MultiPoly.constant(1)]
-    for _ in range(len(coeffs) - 1):
-        powers.append(powers[-1] * arg)
-    return sum_of_products(zip(coeffs[::-1], powers[::-1]))
+    rows = [[_as_poly(c, "polyval") for c in coeffs] for coeffs in rows]
+    powers = power_row(arg, max([1, *map(len, rows)]) - 1)
+    return [sum_of_products(zip(coeffs[::-1], powers[len(coeffs) - 1 :: -1])) for coeffs in rows]
+
+
+def polyval(coeffs: Sequence[MultiPoly | Scalar], arg: MultiPoly | Scalar) -> MultiPoly:
+    """sum_e coeffs[e] * arg^e, expanded: the one-row case of `polyvals`."""
+    return polyvals([coeffs], arg)[0]
 
 
 def composition_sum(factors: Sequence[Sequence[MultiPoly | Scalar]], n: int) -> MultiPoly:

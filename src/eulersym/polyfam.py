@@ -4,17 +4,19 @@ All three are Appell sequences, A_k(t) = sum_l C(k,l) c_l t^(k-l) with
 c_l = A_l(0): c_l = B_l for Bernoulli, c_l = E_l(0) for Euler, and
 c_l = (-1)^l a_l for a coefficient sequence l -> a_l. `_appell_coeffs`
 expands this rule into monomial-basis coefficients (cached per degree for
-B and E); `mpoly.polyval` composes them with a polynomial argument.
+B and E); `mpoly.polyval` composes them with a polynomial argument. A row
+[A_0(arg), ..., A_n(arg)] is composed by `mpoly.polyvals`, from one power
+table of arg.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from eulersym.exact import binom_int
-from eulersym.mpoly import MultiPoly, Scalar, polyval
+from eulersym.mpoly import MultiPoly, Scalar, polyval, polyvals
 from eulersym.sequences import bernoulli_number, euler_at_zero
 
 
@@ -62,3 +64,29 @@ def appell_poly_at(
     A_k(t) = sum_l C(k,l) (-1)^l a_l t^(k-l). a_l = (-1)^l B_l gives B_k and
     a_l = (-1)^l E_l(0) gives E_k. `a` is called for l = k down to 0 only."""
     return polyval(_appell_coeffs(lambda l: a(l) * (-1) ** l, k), arg)
+
+
+def _row(coeffs: Callable[[int], Sequence], n: int, arg: MultiPoly | Scalar) -> list[MultiPoly]:
+    """[A_0(arg), ..., A_n(arg)] for the monomial-basis coefficients k -> coeffs(k)."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return polyvals([coeffs(k) for k in range(n + 1)], arg)
+
+
+def bernoulli_row(n: int, arg: MultiPoly | Scalar) -> list[MultiPoly]:
+    """[B_0(arg), ..., B_n(arg)], fully expanded."""
+    return _row(_bernoulli_coeffs, n, arg)
+
+
+def euler_row(n: int, arg: MultiPoly | Scalar) -> list[MultiPoly]:
+    """[E_0(arg), ..., E_n(arg)], fully expanded."""
+    return _row(_euler_coeffs, n, arg)
+
+
+def appell_row(
+    a: Callable[[int], MultiPoly | Scalar], n: int, arg: MultiPoly | Scalar
+) -> list[MultiPoly]:
+    """[A_0(arg), ..., A_n(arg)] for the coefficient sequence l -> a_l, as in
+    `appell_poly_at`. `a` is called once for each l, from 0 up to n."""
+    at_zero = [a(l) * (-1) ** l for l in range(n + 1)]
+    return _row(lambda k: _appell_coeffs(at_zero.__getitem__, k), n, arg)

@@ -12,11 +12,14 @@ from eulersym.exact import binom_int
 from eulersym.mpoly import (
     MultiPoly,
     binom_poly,
+    binom_row,
     composition_sum,
     compositions,
     delta,
     delta_star,
     polyval,
+    polyvals,
+    power_row,
     shift_one,
     sum_of_products,
 )
@@ -249,6 +252,37 @@ def test_polyval_is_the_sum_of_powers():
     assert polyval([4], q) == MultiPoly.constant(4)
 
 
+# A multi-variable argument, a polynomial in one variable, and constants.
+ROW_ARGS = (
+    MultiPoly.variable("x_2") - MultiPoly.variable("x_1") + 1,
+    X * Y - Fraction(2, 3),
+    MultiPoly.constant(Fraction(-5, 3)),
+    7,
+)
+
+
+def test_power_row_is_the_powers():
+    for arg in ROW_ARGS:
+        for n in (0, 1, 5):
+            row = power_row(arg, n)
+            assert len(row) == n + 1
+            assert row == [arg**e for e in range(n + 1)]
+    with pytest.raises(ValueError):
+        power_row(X, -1)
+
+
+def test_polyvals_is_polyval_per_row():
+    # Rows of different lengths, empty and zero rows among them, at one argument.
+    rows = [[], [3], [0, 0], [Fraction(1, 2), 0, Y, -3, MultiPoly.zero(), X + 1], [1, X]]
+    for arg in ROW_ARGS:
+        values = polyvals(rows, arg)
+        assert len(values) == len(rows)
+        for coeffs, value in zip(rows, values):
+            expected = sum((c * arg**e for e, c in enumerate(coeffs)), MultiPoly.zero())
+            assert value == expected
+    assert polyvals([], X) == []
+
+
 def test_shift_one_examples():
     assert shift_one(X**2, "x") == X**2 + 2 * X + 1
     assert shift_one(MultiPoly.constant(5), "x") == MultiPoly.constant(5)
@@ -324,6 +358,32 @@ def test_binom_poly_examples():
     assert binom_poly(r, 0) == MultiPoly.constant(1)
     assert binom_poly(r, 2) == (r**2 - r) / 2
     assert binom_poly(r, -1).is_zero()
+
+
+def test_binom_row_is_the_falling_factorial():
+    # Each entry is u (u - 1) ... (u - k + 1) / k!, formed here entry by entry.
+    for u in ROW_ARGS:
+        for n in (0, 1, 6):
+            row = binom_row(u, n)
+            assert len(row) == n + 1
+            for k, entry in enumerate(row):
+                falling = math.prod((u - i for i in range(k)), start=MultiPoly.constant(1))
+                assert entry == falling / math.factorial(k)
+                assert binom_poly(u, k) == entry
+    with pytest.raises(ValueError):
+        binom_row(X, -1)
+    with pytest.raises(TypeError, match="binom_row.*float"):
+        binom_row(1.5, 2)
+
+
+def test_binom_row_against_sympy():
+    r1, r2, r3 = (MultiPoly.variable(f"r_{j}") for j in (1, 2, 3))
+    u = 4 - r1 - r2 - r3
+    su = to_sympy(u)
+    row = binom_row(u, 6)
+    for k in range(7):
+        expected = sympy.expand(sympy.expand_func(sympy.binomial(su, k)))
+        assert to_sympy(row[k]) == expected
 
 
 def test_binom_poly_matches_integer_binomial():

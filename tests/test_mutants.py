@@ -27,15 +27,15 @@ MUTANTS = {
     "thm12 sign (-1)^(i+m) -> (-1)^i": (
         "(-1) ** (i + m)", "(-1) ** i", IdentitySpec("thm12", n=2, m=3)),
     "thm12 even pivot B -> E": (
-        "else bernoulli_poly_shifted\n", "else euler_poly_shifted\n",
-        IdentitySpec("thm12", n=3, m=2)),
+        "else bernoulli_row\n", "else euler_row\n", IdentitySpec("thm12", n=3, m=2)),
+    "thm12 pivot row one entry off: C(r_0,k) B_(k+1)": (
+        "pivot_row(n, 1 - xi)", "pivot_row(n + 1, 1 - xi)[1:]", IdentitySpec("thm12", n=3, m=2)),
     "thm12 prefactor r_0/2 -> r_0": (
         "lhs = r0 * lhs / 2", "lhs = r0 * lhs", IdentitySpec("thm12", n=2, m=2)),
     "_pair_sum without (-1)^k": (
-        "q(k, y) * (-1) ** k", "q(k, y)", IdentitySpec("thm11_part2", n=2)),
+        "c * (-1) ** k for k, c", "c for k, c", IdentitySpec("thm11_part2", n=2)),
     "thm11_part1 B -> E": (
-        "    b = bernoulli_poly_shifted\n", "    b = euler_poly_shifted\n",
-        IdentitySpec("thm11_part1", n=2)),
+        "    b = bernoulli_row\n", "    b = euler_row\n", IdentitySpec("thm11_part1", n=2)),
     "thm11_part1 t = n-r-s -> n-1-r-s": (
         "MultiPoly.constant(n) - r - s", "MultiPoly.constant(n - 1) - r - s",
         IdentitySpec("thm11_part1", n=2)),
@@ -44,6 +44,8 @@ MUTANTS = {
     # b~(k) itself is undefined at k = 0, so the index slips the other way.
     "cor11 b~(k+1) -> b~(k+2)": (
         "b_tilde(k + 1)", "b_tilde(k + 2)", IdentitySpec("cor11", n=3, m=2)),
+    "cor11 b~ row read one entry off": (
+        "(tilde[k] *", "(tilde[k - 1] *", IdentitySpec("cor11", n=3, m=2)),
     "cor11 prefactor (-1)^(n+1) -> (-1)^n": (
         "Fraction((-1) ** (n + 1))", "Fraction((-1) ** n)", IdentitySpec("cor11", n=3, m=2)),
     "lemma21 even branch D -> D*": (
@@ -52,6 +54,9 @@ MUTANTS = {
     "lemma22_eq1 (-x_1)^k -> x_1^k": (
         "eq1_side(binom_r0, -xs[0], xs[0])", "eq1_side(binom_r0, xs[0], xs[0])",
         IdentitySpec("lemma22_eq1", n=2, m=2)),
+    "lemma22_eq2 gap row one entry off: (x_q - x_p)^(k+1)": (
+        "power_row(xs[q] - xs[p], n)", "power_row(xs[q] - xs[p], n + 1)[1:]",
+        IdentitySpec("lemma22_eq2", n=2, m=2, i=2)),
     "remark11 x_1 = 1-y -> y": (
         '{"x_1": 1 - y,', '{"x_1": y,', IdentitySpec("remark11", n=2)),
 }
@@ -73,6 +78,7 @@ def test_mutant_does_not_hold(monkeypatch, tmp_path, name):
     old, new, spec = MUTANTS[name]
     assert verify(spec).holds
     mutant = load_mutant(monkeypatch, tmp_path, old, new)
-    report = mutant.verify(mutant.IdentitySpec(spec.identity, spec.n, spec.m, seed=spec.seed))
+    report = mutant.verify(
+        mutant.IdentitySpec(spec.identity, spec.n, spec.m, spec.i, seed=spec.seed))
     assert not report.holds
     assert report.residual_terms > 0

@@ -6,10 +6,13 @@ from eulersym.exact import binom_int
 from eulersym.mpoly import MultiPoly, delta, delta_star
 from eulersym.polyfam import (
     appell_poly_at,
+    appell_row,
     bernoulli_poly,
     bernoulli_poly_shifted,
+    bernoulli_row,
     euler_poly,
     euler_poly_shifted,
+    euler_row,
 )
 from eulersym.sequences import bernoulli_number, euler_at_zero
 
@@ -113,3 +116,43 @@ def test_negative_degree_rejected():
     for fn in (bernoulli_poly, euler_poly):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+# A multi-variable argument, a one-variable one, and constants.
+ROW_ARGS = (
+    MultiPoly.variable("x_2") - MultiPoly.variable("x_1") + 1,
+    1 - X,
+    MultiPoly.constant(Fraction(1, 2)),
+    3,
+)
+
+
+def test_family_rows_match_their_entries():
+    for arg in ROW_ARGS:
+        for n in (0, 1, 7):
+            for row, entry in ((euler_row, euler_poly_shifted),
+                               (bernoulli_row, bernoulli_poly_shifted)):
+                assert row(n, arg) == [entry(k, arg) for k in range(n + 1)]
+
+
+def test_appell_row_matches_appell_poly_at_and_draws_each_coefficient_once():
+    drawn = []
+
+    def coeffs(l):
+        drawn.append(l)
+        return symbolic_coeffs(l)
+
+    for arg in ROW_ARGS:
+        for n in (0, 1, 6):
+            drawn.clear()
+            row = appell_row(coeffs, n, arg)
+            assert drawn == list(range(n + 1))
+            assert row == [appell_poly_at(symbolic_coeffs, k, arg) for k in range(n + 1)]
+
+
+def test_rows_reject_a_negative_degree():
+    for row in (euler_row, bernoulli_row):
+        with pytest.raises(ValueError):
+            row(-1, X)
+    with pytest.raises(ValueError):
+        appell_row(symbolic_coeffs, -1, X)
