@@ -20,7 +20,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from eulersym.exact import random_rational
 from eulersym.mpoly import (
@@ -103,9 +104,27 @@ class IdentityReport:
 # -- Theorem on products of Euler polynomials (m parameters) ----------------
 
 
-def _times(row: list[MultiPoly], other: list) -> list[MultiPoly]:
-    """The entrywise product of two rows indexed by k."""
-    return [p * q for p, q in zip(row, other)]
+# Rows go through map where a comprehension would do: a comprehension adds
+# tuples to unmarshal at import, and one more tuple there moves the first
+# cyclic-GC collection of a benchmark pass (ROADMAP item 1, fault (a)).
+def _convolve(pairs: Iterable[tuple[list[MultiPoly], Sequence]], n: int) -> MultiPoly:
+    """sum over the weak compositions k of n of prod_j C(r_j, k_j) F_j(k_j),
+    one factor j per pair (C(r_j, 0..n), F_j(0..n)) of a binomial row and a row."""
+    return composition_sum([list(map(mul, binom, row)) for binom, row in pairs], n)
+
+
+def _pivot_block(
+    n: int, binom_r0: list[MultiPoly], binom_r: list[list[MultiPoly]], p: int,
+    row: Callable[[int], Sequence], pivot: Sequence,
+) -> MultiPoly:
+    """The convolution to n of C(r_j, k) row(j)_k over the factors j != p (list
+    index j is r_(j+1)), with the pivot factor C(r_0, k) pivot_k put last.
+
+    Put first, the pivot made thm12 (6,6) form 5.97 million term pairs against
+    2.32 million; kept in place p, with the block's sign on its sum, it took 5%
+    more peak memory at thm12 (4,5), (5,4), (6,4). So a sign goes on pivot_k."""
+    pairs = [(binom_r[j], row(j)) for j in range(len(binom_r)) if j != p]
+    return _convolve(pairs + [(binom_r0, pivot)], n)
 
 
 def _r_variables(m: int, n: int) -> tuple[MultiPoly, list[MultiPoly], list[list[MultiPoly]]]:
@@ -115,7 +134,7 @@ def _r_variables(m: int, n: int) -> tuple[MultiPoly, list[MultiPoly], list[list[
     r0 = MultiPoly.constant(n - 1)
     for r in rs:
         r0 = r0 - r
-    return r0, binom_row(r0, n), [binom_row(r, n) for r in rs]
+    return r0, binom_row(r0, n), list(map(binom_row, rs, [n] * m))
 
 
 def thm12_sides(m: int, n: int) -> tuple[MultiPoly, MultiPoly]:
@@ -127,26 +146,18 @@ def thm12_sides(m: int, n: int) -> tuple[MultiPoly, MultiPoly]:
     r0, binom_r0, binom_r = _r_variables(m, n)
 
     odd = m % 2 == 1
-    lhs = composition_sum(
-        [_times(binom_r[j], euler_row(n, xs[j])) for j in range(m)], n if odd else n - 1
-    )
+    lhs = _convolve(zip(binom_r, map(euler_row, [n] * m, xs)), n if odd else n - 1)
     if not odd:
         lhs = r0 * lhs / 2
 
-    # Block i puts its pivot factor last and folds its sign into the pivot
-    # entries. Keeping the pivot in place i and signing the block's sum
-    # instead raised the peak memory of thm12 (4,5), (5,4), (6,4) by 5%.
+    # Block i has the pivot x_i, and its sign on the pivot's entries.
     pivot_row = euler_row if odd else bernoulli_row
     rhs = MultiPoly.zero()
     for i in range(1, m + 1):
         xi, sign = xs[i - 1], (-1) ** (i + m)
-        factors = [
-            _times(binom_r[j], euler_row(n, xs[j] - xi + int(j >= i)))
-            for j in range(m)
-            if j != i - 1
-        ]
-        factors.append([b * p * sign for b, p in zip(binom_r0, pivot_row(n, 1 - xi))])
-        rhs = rhs + composition_sum(factors, n)
+        pivot = [e * sign for e in pivot_row(n, 1 - xi)]
+        row = lambda j: euler_row(n, xs[j] - xi + int(j >= i))
+        rhs = rhs + _pivot_block(n, binom_r0, binom_r, i - 1, row, pivot)
     return lhs, rhs
 
 
@@ -163,27 +174,22 @@ def cor11_sides(m: int, n: int) -> tuple[MultiPoly, MultiPoly]:
     ks = range(n + 1)
 
     odd = m % 2 == 1
-    lhs = composition_sum(
-        [[binom_r[j][k] * euler_number(k) for k in ks] for j in range(m)], n if odd else n - 1
-    )
+    numbers = list(map(euler_number, ks))
+    lhs = _convolve(zip(binom_r, [numbers] * m), n if odd else n - 1)
     lhs = lhs * Fraction((-1) ** (n + 1))
     if not odd:
         lhs = r0 * lhs
 
-    # Block i carries (-1)^i on its pivot factor, put last as in thm12, and
-    # (-1)^#{j > i : k_j > 0} as -1 on the nonzero entries of each factor j > i.
-    # Each sign is folded into the scalar b~(k+1) before it meets C(r_j, k).
-    pivot = [euler_number(k) if odd else (2**k - 2) * bernoulli_number(k) for k in ks]
-    tilde = [b_tilde(k + 1) for k in ks]
+    # Block i carries (-1)^i on its pivot's entries, and (-1)^#{j > i : k_j > 0}
+    # as -1 on the nonzero entries of each factor j > i. Each sign is folded
+    # into its scalar before it meets a binomial.
+    pivot = numbers if odd else [(2**k - 2) * bernoulli_number(k) for k in ks]
+    tilde = list(map(b_tilde, range(1, n + 2)))
     rhs = MultiPoly.zero()
     for i in range(1, m + 1):
-        factors = [
-            [binom_r[j][k] * (tilde[k] * (-1 if j >= i and k else 1)) for k in ks]
-            for j in range(m)
-            if j != i - 1
-        ]
-        factors.append([binom_r0[k] * (pivot[k] * (-1) ** i) for k in ks])
-        rhs = rhs + composition_sum(factors, n)
+        row = lambda j: [tilde[k] * (-1 if j >= i and k else 1) for k in ks]
+        signed = [c * (-1) ** i for c in pivot]
+        rhs = rhs + _pivot_block(n, binom_r0, binom_r, i - 1, row, signed)
     return lhs, rhs
 
 
@@ -198,7 +204,7 @@ def _pair_sum(
 ) -> MultiPoly:
     """sum_k (-1)^k C(s,k) C(t,n-k) P_(n-k)(x) Q_k(y) for the families P = p, Q = q."""
     signed = [c * (-1) ** k for k, c in enumerate(q(n, y))]
-    return composition_sum([_times(binom_row(s, n), signed), _times(binom_row(t, n), p(n, x))], n)
+    return _convolve([(binom_row(s, n), signed), (binom_row(t, n), p(n, x))], n)
 
 
 def thm11_part1_sides(n: int) -> tuple[MultiPoly, MultiPoly]:
@@ -290,10 +296,10 @@ def lemma22_sides(
 
     def eq1_side(binom: list[MultiPoly], y: MultiPoly, shift: MultiPoly | int) -> MultiPoly:
         # Factor 1 carries C(b, k) y^k, every other factor j a(x_j - shift).
-        factors = [_times(binom, power_row(y, n))]
+        pairs = [(binom, power_row(y, n))]
         for j in range(1, m):
-            factors.append(_times(binom_r[j], appell_row(a, n, xs[j] - shift)))
-        return composition_sum(factors, n)
+            pairs.append((binom_r[j], appell_row(a, n, xs[j] - shift)))
+        return _convolve(pairs, n)
 
     if which == "eq1":
         return eq1_side(binom_r0, -xs[0], xs[0]), eq1_side(binom_r[0], xs[0], 0)
@@ -301,18 +307,13 @@ def lemma22_sides(
     abar = lambda l: var(f"abar_{l}")
 
     def eq2_side(p: int, q: int) -> MultiPoly:
-        # Factor p carries r_0 and a(-x_p), factor q the gap (x_q - x_p)^k,
-        # every other factor abar(x_j - x_p). The left side has factors
-        # p = 1 and q = i; the right side swaps them.
-        factors = []
-        for j in range(m):
-            if j == p:
-                factors.append(_times(binom_r0, appell_row(a, n, -xs[p])))
-            elif j == q:
-                factors.append(_times(binom_r[q], power_row(xs[q] - xs[p], n)))
-            else:
-                factors.append(_times(binom_r[j], appell_row(abar, n, xs[j] - xs[p])))
-        return composition_sum(factors, n)
+        # The pivot p carries r_0 and a(-x_p), built first so that each a_l is
+        # drawn before any abar_l; factor q carries the gap (x_q - x_p)^k, every
+        # other factor abar(x_j - x_p). (p, q) is (1, i) on the left, (i, 1) on the right.
+        pivot = appell_row(a, n, -xs[p])
+        gap = power_row(xs[q] - xs[p], n)
+        row = lambda j: gap if j == q else appell_row(abar, n, xs[j] - xs[p])
+        return _pivot_block(n, binom_r0, binom_r, p, row, pivot)
 
     return eq2_side(0, i - 1), eq2_side(i - 1, 0)
 

@@ -286,8 +286,10 @@ def test_verify_all_survives_a_builder_exception(monkeypatch, capsys):
 
 
 def test_verify_all_bad_bounds(capsys):
-    code, _, err = run_cli(capsys, "verify-all", "--max-m", "0", "--max-n", "3")
+    code, out, err = run_cli(capsys, "verify-all", "--max-m", "0", "--max-n", "3")
     assert code == 2
+    assert out == ""
+    assert err == "error: bounds must be >= 1\n"
 
 
 # -- output file -----------------------------------------------------------

@@ -102,6 +102,15 @@ def test_cor11_variables_are_r_only():
     assert (lhs.variables() | rhs.variables()) <= {"r_1", "r_2", "r_3"}
 
 
+def test_cor11_sides_vanish_exactly_when_m_plus_n_is_even():
+    # Those specs certify only 0 = 0, so a builder edit that moves a case into
+    # or out of that set must fail here rather than pass unseen.
+    for m in range(1, 5):
+        for n in range(1, 6):
+            lhs, rhs = cor11_sides(m, n)
+            assert lhs.is_zero() == rhs.is_zero() == ((m + n) % 2 == 0), (m, n)
+
+
 # -- three-parameter relations ---------------------------------------------
 
 
@@ -305,6 +314,34 @@ def test_verify_numeric_lemma22_draws_only_used_coefficients():
         report = verify(IdentitySpec("lemma22_eq2", n=3, m=m, i=i, mode="numeric", seed=7))
         assert report.holds
         assert set(report.params_used) == lhs.variables() | rhs.variables()
+
+
+# The sample point of a seeded numeric report, in the order its builder draws
+# the variables. A builder edit that reorders the draws moves every seeded
+# report's point, so it must show here.
+SEED7_POINTS = {
+    "thm11_part1": "x=0 y=5/2 r=-8/9 s=-7/6",
+    "thm11_part2": "x=0 y=5/2 r=-8/9 s=-7/6",
+    "thm12": "x_1=0 x_2=5/2 x_3=-8/9 r_1=-7/6 r_2=17/2 r_3=12/7",
+    "cor11": "r_1=0 r_2=5/2 r_3=-8/9",
+    "lemma21": "x=0",
+    "lemma22_eq1": "x_1=0 x_2=5/2 x_3=-8/9 r_1=-7/6 r_2=17/2 r_3=12/7 a_0=-6 a_1=1/2 a_2=-2",
+    "lemma22_eq2": "x_1=0 x_2=5/2 x_3=-8/9 r_1=-7/6 r_2=17/2 r_3=12/7 a_0=-6 a_1=1/2 a_2=-2"
+                   " abar_0=-5/6 abar_1=7/2 abar_2=4",
+    "remark11": "x=0 y=5/2 r=-8/9 s=-7/6 w=17/2",
+    "chu_vandermonde": "r=0 s=5/2",
+}
+
+
+@pytest.mark.parametrize("identity", list(IDENTITIES))
+def test_seeded_numeric_sample_point_is_pinned(identity):
+    entry = IDENTITIES[identity]
+    spec = IdentitySpec(identity, n=2, m=3 if entry.min_m else None,
+                        i=3 if entry.takes_i else None, mode="numeric", seed=7)
+    report = verify(spec)
+    assert report.holds
+    point = " ".join(f"{name}={value}" for name, value in report.params_used.items())
+    assert point == SEED7_POINTS[identity]
 
 
 def test_verify_numeric_with_explicit_params():

@@ -43,9 +43,10 @@ MUTANTS = {
         "(-1 if j >= i and k else 1)", "1", IdentitySpec("cor11", n=3, m=2)),
     # b~(k) itself is undefined at k = 0, so the index slips the other way.
     "cor11 b~(k+1) -> b~(k+2)": (
-        "b_tilde(k + 1)", "b_tilde(k + 2)", IdentitySpec("cor11", n=3, m=2)),
+        "map(b_tilde, range(1, n + 2))", "map(b_tilde, range(2, n + 3))",
+        IdentitySpec("cor11", n=3, m=2)),
     "cor11 b~ row read one entry off": (
-        "(tilde[k] *", "(tilde[k - 1] *", IdentitySpec("cor11", n=3, m=2)),
+        "[tilde[k] *", "[tilde[k - 1] *", IdentitySpec("cor11", n=3, m=2)),
     "cor11 prefactor (-1)^(n+1) -> (-1)^n": (
         "Fraction((-1) ** (n + 1))", "Fraction((-1) ** n)", IdentitySpec("cor11", n=3, m=2)),
     "lemma21 even branch D -> D*": (
@@ -57,6 +58,10 @@ MUTANTS = {
     "lemma22_eq2 gap row one entry off: (x_q - x_p)^(k+1)": (
         "power_row(xs[q] - xs[p], n)", "power_row(xs[q] - xs[p], n + 1)[1:]",
         IdentitySpec("lemma22_eq2", n=2, m=2, i=2)),
+    "_convolve binomial row one entry off: C(r_j,k-1) F_j(k)": (
+        "map(mul, binom, row)", "map(mul, [0, *binom], row)", IdentitySpec("thm11_part2", n=2)),
+    "_pivot_block skips factor 0 instead of the pivot's": (
+        "if j != p]", "if j != 0]", IdentitySpec("lemma22_eq2", n=2, m=3, i=3)),
     "remark11 x_1 = 1-y -> y": (
         '{"x_1": 1 - y,', '{"x_1": y,', IdentitySpec("remark11", n=2)),
 }
